@@ -21,6 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "app/replay.hpp"
+#include "core/experiment.hpp"
+#include "measure/locations20.hpp"
 #include "sim/simulator.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/inplace_function.hpp"
@@ -66,10 +69,30 @@ inline int env_reps() {
   return 1;
 }
 
-/// MN_THREADS worker count for the replicated-run harnesses (0 = serial).
-/// Results are bit-identical at any value — the drivers pre-draw every
-/// random input serially before fanning out (see util/parallel.hpp).
+/// MN_THREADS worker count for the replicated-run harnesses and the
+/// per-flow loops of every artifact (0 = serial).  Results are
+/// bit-identical at any value: each pool index builds its own network
+/// sample and Simulator from fixed seeds, and the caller folds the
+/// results in index order (see util/parallel.hpp).
 inline int env_threads() { return mn::env_threads(); }
+
+/// Throughput of one flow on a fresh Simulator: one measurement run.
+inline double flow_mbps(const MpNetworkSetup& net, const TransportConfig& config,
+                        std::int64_t bytes, Direction dir = Direction::kDownload) {
+  Simulator sim;
+  return run_transport_flow(sim, net, config, bytes, dir).throughput_mbps;
+}
+
+/// App response times of `pattern` under every replay_configs() entry at
+/// the given Table-2 locations (1-based ids, trace seed 7), one ConfigTimes
+/// per id in order.  Each location is one pool index.
+inline std::vector<ConfigTimes> replay_at_locations(const AppPattern& pattern,
+                                                    const std::vector<int>& ids) {
+  return parallel_map(ids.size(), env_threads(), [&](std::size_t i) {
+    const auto& loc = table2_locations()[static_cast<std::size_t>(ids[i] - 1)];
+    return replay_all_configs(pattern, location_setup(loc, /*seed=*/7));
+  });
+}
 
 /// Downsampled CDF curve of a distribution, ready for render_plot.
 inline Series cdf_series(const EmpiricalDistribution& dist, std::string name,

@@ -2,12 +2,11 @@
 // |MPTCP_LTE - MPTCP_WiFi| / MPTCP_WiFi between the two primary-subflow
 // choices (decoupled CC), for 10 KB / 100 KB / 1 MB flows across the 20
 // locations.  Paper medians: 60% (10 KB), 49% (100 KB), 28% (1 MB).
+#include <array>
 #include <iostream>
 
 #include "common.hpp"
 #include "util/units.hpp"
-#include "core/experiment.hpp"
-#include "measure/locations20.hpp"
 
 int main() {
   using namespace mn;
@@ -17,31 +16,33 @@ int main() {
       "median relative difference 60% at 10 KB, 49% at 100 KB, 28% at "
       "1 MB: the primary-subflow choice matters most for short flows.");
 
-  const int runs = std::max(1, static_cast<int>(3 * bench::env_scale()));
+  const auto runs = std::max<std::size_t>(1, static_cast<std::size_t>(3 * bench::env_scale()));
   const std::vector<std::pair<std::string, std::int64_t>> sizes{
       {"10 KB", 10 * kKB}, {"100 KB", 100 * kKB}, {"1 MB", 1000 * kKB}};
   const std::vector<std::string> paper_medians{"60%", "49%", "28%"};
 
-  std::vector<EmpiricalDistribution> dists(sizes.size());
-  for (const auto& loc : table2_locations()) {
-    for (int r = 0; r < runs; ++r) {
-      for (std::size_t si = 0; si < sizes.size(); ++si) {
-        // Separate measurement runs per configuration, as in the paper.
-        double tput[2] = {0.0, 0.0};
-        for (int primary = 0; primary < 2; ++primary) {
-          Simulator sim;
-          const auto setup = location_setup(
-              loc, static_cast<std::uint64_t>((primary + 1) * 1000 + r * 7));
+  // One pool index per (location, run).  Separate measurement runs per
+  // configuration, as in the paper: each primary choice gets its own
+  // network sample, shared by the flow sizes.
+  const auto& locations = table2_locations();
+  const auto tputs =
+      parallel_map(locations.size() * runs, bench::env_threads(), [&](std::size_t i) {
+        std::vector<std::array<double, 2>> tput(sizes.size());  // [size][LTE, WiFi]
+        for (std::size_t primary = 0; primary < 2; ++primary) {
+          const auto setup = location_setup(locations[i / runs],
+                                            (primary + 1) * 1000 + (i % runs) * 7);
           const auto cfg = TransportConfig::mptcp(
               primary == 0 ? PathId::kLte : PathId::kWifi, CcAlgo::kDecoupled);
-          tput[primary] = run_transport_flow(sim, setup, cfg, sizes[si].second,
-                                             Direction::kDownload)
-                              .throughput_mbps;
+          for (std::size_t si = 0; si < sizes.size(); ++si) {
+            tput[si][primary] = bench::flow_mbps(setup, cfg, sizes[si].second);
+          }
         }
-        if (tput[1] > 0.0) {
-          dists[si].add(bench::relative_diff_pct(tput[0], tput[1]));
-        }
-      }
+        return tput;
+      });
+  std::vector<EmpiricalDistribution> dists(sizes.size());
+  for (const auto& tput : tputs) {
+    for (std::size_t si = 0; si < sizes.size(); ++si) {
+      if (tput[si][1] > 0.0) dists[si].add(bench::relative_diff_pct(tput[si][0], tput[si][1]));
     }
   }
 

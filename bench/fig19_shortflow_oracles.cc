@@ -3,10 +3,9 @@
 // and normalized by the WiFi-TCP (Android default) baseline.
 // Paper: Single-Path-TCP Oracle ~0.50; MPTCP oracles 0.65-0.85.
 #include <iostream>
+#include <numeric>
 
-#include "app/replay.hpp"
 #include "common.hpp"
-#include "measure/locations20.hpp"
 
 int main() {
   using namespace mn;
@@ -22,10 +21,11 @@ int main() {
   const auto n_conditions =
       std::max<std::size_t>(4, static_cast<std::size_t>(20 * scale));
 
+  std::vector<int> ids(std::min<std::size_t>(n_conditions, 20));
+  std::iota(ids.begin(), ids.end(), 1);
   std::vector<OracleReport> reports;
-  for (std::size_t i = 0; i < std::min<std::size_t>(n_conditions, 20); ++i) {
-    const auto setup = location_setup(table2_locations()[i], /*seed=*/7);
-    reports.push_back(make_oracle_report(replay_all_configs(pattern, setup)));
+  for (const auto& times : bench::replay_at_locations(pattern, ids)) {
+    reports.push_back(make_oracle_report(times));
   }
   const auto n = normalize_oracles(reports);
 

@@ -3,9 +3,7 @@
 // representative conditions.  MPTCP genuinely helps here.
 #include <iostream>
 
-#include "app/replay.hpp"
 #include "common.hpp"
-#include "measure/locations20.hpp"
 
 int main() {
   using namespace mn;
@@ -24,10 +22,7 @@ int main() {
   std::map<std::string, std::vector<double>> rows;
   for (const auto& cfg : replay_configs()) rows[cfg.name()] = {};
 
-  for (std::size_t ci = 0; ci < condition_ids.size(); ++ci) {
-    const auto& loc = table2_locations()[static_cast<std::size_t>(condition_ids[ci] - 1)];
-    const auto setup = location_setup(loc, /*seed=*/7);
-    const auto times = replay_all_configs(pattern, setup);
+  for (const auto& times : bench::replay_at_locations(pattern, condition_ids)) {
     for (const auto& [name, secs] : times) rows[name].push_back(secs);
   }
   for (const auto& cfg : replay_configs()) {

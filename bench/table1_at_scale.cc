@@ -1,6 +1,6 @@
 // Table 1 at population scale: the shared-infrastructure world.
 //
-// The classic table1_geo_clusters bench replays the paper's ~750
+// The classic Table 1 (bench/sec2_campaign) replays the paper's ~750
 // crowdsourced runs over private links — one user per link, no
 // contention.  This bench asks the scaling question instead: what do
 // the Table-1 columns look like when ONE HUNDRED THOUSAND (stretch: a

@@ -39,7 +39,8 @@ ClusterSpec make_cluster(std::string name, GeoPoint centre, int runs, double lte
   // of a bursty, bufferbloated LTE link's nominal rate than of a WiFi
   // link's.  The factor was calibrated empirically so that a cluster's
   // *measured* LTE-win fraction matches its target (see
-  // tests/measure/campaign_test.cc and bench/fig03_tput_cdf).
+  // tests/measure/campaign_test.cc and the Figure 3 section of
+  // bench/sec2_campaign).
   // The penalty deepens as LTE carries more of the traffic (faster LTE
   // means deeper queues and burstier service), so the correction grows
   // with the target win probability.

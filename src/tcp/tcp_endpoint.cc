@@ -526,25 +526,17 @@ void TcpEndpoint::process_data(const Packet& p) {
 }
 
 void TcpEndpoint::advance_rcv_next() {
-  bool advanced = true;
-  while (advanced) {
-    advanced = false;
-    for (std::size_t i = 0; i < ooo_.size();) {
-      if (ooo_[i].second <= rcv_next_) {
-        ooo_.erase(ooo_.begin() + static_cast<std::ptrdiff_t>(i));  // fully stale
-        continue;
-      }
-      if (ooo_[i].first <= rcv_next_) {
-        const std::int64_t gained = ooo_[i].second - rcv_next_;
-        rcv_next_ = ooo_[i].second;
-        delivered_data_ += gained;
-        ooo_.erase(ooo_.begin() + static_cast<std::ptrdiff_t>(i));
-        advanced = true;
-        continue;
-      }
-      ++i;
+  // ooo_ is sorted by start and rcv_next_ only grows, so the ranges that
+  // reach rcv_next_ form a prefix: consume it (stale ranges add nothing)
+  // and erase it in one go.
+  auto reached = ooo_.begin();
+  for (; reached != ooo_.end() && reached->first <= rcv_next_; ++reached) {
+    if (reached->second > rcv_next_) {
+      delivered_data_ += reached->second - rcv_next_;
+      rcv_next_ = reached->second;
     }
   }
+  ooo_.erase(ooo_.begin(), reached);
   if (peer_fin_received_ && rcv_next_ == peer_fin_seq_) {
     rcv_next_ += 1;  // consume the FIN
   }

@@ -77,9 +77,11 @@ TEST(Reordering, MildReorderingCausesFewSpuriousRetransmits) {
 
 // Parameterized sweep: delivery correctness holds across reordering
 // severities and seeds (the throughput cost may vary, correctness not).
+// No padding bytes: gtest names each case by dumping the param's bytes,
+// and uninitialised padding would change the names from run to run.
 struct ReorderCase {
   double prob;
-  int extra_ms;
+  std::int64_t extra_ms;
   std::uint64_t seed;
 };
 
