@@ -4,9 +4,6 @@
 // campaign benches run thousands of flows).
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -16,9 +13,6 @@
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
-#include "store/remote/client.hpp"
-#include "store/remote/server.hpp"
-#include "store/run_store.hpp"
 #include "tcp/flow.hpp"
 #include "util/inplace_function.hpp"
 #include "util/interval_set.hpp"
@@ -289,114 +283,6 @@ void BM_CampaignRuns(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignRuns)->Arg(0)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-// In-memory lookup cost of the result store: the per-run overhead a
-// warm campaign pays instead of simulating.  1024 resident entries,
-// alternating hits; should stay well under a microsecond.
-void BM_StoreLookup(benchmark::State& state) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "mn_bench_store_lookup").string();
-  std::filesystem::remove_all(dir);
-  {
-    store::RunStore store{dir};
-    for (std::uint64_t i = 0; i < 1024; ++i) {
-      store.put({i, i * 0x9e3779b97f4a7c15ull}, std::string(64, 'x'));
-    }
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      const std::uint64_t k = i++ & 2047;  // every other lookup misses
-      auto hit = store.lookup({k, k * 0x9e3779b97f4a7c15ull});
-      benchmark::DoNotOptimize(hit);
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_StoreLookup);
-
-// The remote tier's lookup: one MNSP1 GET round trip over a Unix-domain
-// socket to an in-process StoreServer, same 1024-record store and
-// hit/miss mix as BM_StoreLookup.  The delta over the ~28ns local
-// lookup IS the wire cost — the number an operator weighs against
-// re-executing a run.
-void BM_RemoteStoreLookup(benchmark::State& state) {
-  const auto base = std::filesystem::temp_directory_path() / "mn_bench_remote_lookup";
-  std::filesystem::remove_all(base);
-  std::filesystem::create_directories(base);
-  const std::string dir = (base / "store").string();
-  const std::string sock = (base / "mn.sock").string();
-  {
-    store::RunStore seed{dir};
-    for (std::uint64_t i = 0; i < 1024; ++i) {
-      seed.put({i, i * 0x9e3779b97f4a7c15ull}, std::string(64, 'x'));
-    }
-  }
-  store::remote::StoreServer server{{dir, sock}};
-  std::thread server_thread{[&server] { server.run(); }};
-  store::remote::RemoteStoreOptions ropt;
-  ropt.endpoint = sock;
-  {
-    store::remote::RemoteStore client{std::move(ropt)};
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-      const std::uint64_t k = i++ & 2047;  // every other lookup misses
-      auto hit = client.lookup({k, k * 0x9e3779b97f4a7c15ull});
-      benchmark::DoNotOptimize(hit);
-    }
-  }
-  server.stop();
-  server_thread.join();
-  std::filesystem::remove_all(base);
-}
-BENCHMARK(BM_RemoteStoreLookup);
-
-// Cold vs warm campaign through the store: cold pays full simulation
-// plus the append, warm replays from cache.  The ratio is the headline
-// number of the result-store PR (warm must be >= 10x faster).
-void BM_CampaignColdCache(benchmark::State& state) {
-  const std::vector<ClusterSpec> world{
-      make_cluster("A", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("B", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.incomplete_probability = 0.0;
-  opt.parallelism = 0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "mn_bench_store_cold").string();
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(dir);
-    state.ResumeTiming();
-    store::RunStore store{dir};
-    opt.store = &store;
-    const auto runs = run_campaign(world, opt);
-    benchmark::DoNotOptimize(runs.size());
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CampaignColdCache)->Unit(benchmark::kMillisecond);
-
-void BM_CampaignWarmCache(benchmark::State& state) {
-  const std::vector<ClusterSpec> world{
-      make_cluster("A", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("B", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.incomplete_probability = 0.0;
-  opt.parallelism = 0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "mn_bench_store_warm").string();
-  std::filesystem::remove_all(dir);
-  {
-    store::RunStore store{dir};
-    opt.store = &store;
-    const auto prime = run_campaign(world, opt);  // populate the cache
-    benchmark::DoNotOptimize(prime.size());
-    for (auto _ : state) {
-      const auto runs = run_campaign(world, opt);
-      benchmark::DoNotOptimize(runs.size());
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CampaignWarmCache)->Unit(benchmark::kMillisecond);
 
 void BM_PoissonTraceGen(benchmark::State& state) {
   for (auto _ : state) {

@@ -5,8 +5,8 @@
 // a pcap capture, and a Prometheus metrics dump.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
-// Artifacts (trace, pcap, result store) land in quickstart_out/, which
-// is gitignored — delete the directory to start fresh.
+// Artifacts (trace, pcap) land in quickstart_out/, which is gitignored
+// — delete the directory to start fresh.
 #include <filesystem>
 #include <iostream>
 
@@ -15,7 +15,6 @@
 #include "emu/packet_log.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_export.hpp"
-#include "store/run_store.hpp"
 
 int main() {
   using namespace mn;
@@ -95,35 +94,5 @@ int main() {
     // Full dump, scrapeable format: std::cout << snap.prometheus_text();
   }
 
-  // 5. The result store: memoize a flow-size sweep on disk.  The first
-  //    sweep simulates every point and appends it to quickstart_store/;
-  //    the second replays from cache without simulating anything.  Kill
-  //    the process mid-sweep and rerun: completed points are kept and
-  //    only the missing ones execute (crash-resume).  Inspect with
-  //    ./build/tools/mn_store verify quickstart_out/quickstart_store
-  {
-    store::RunStore cache{"quickstart_out/quickstart_store"};
-    SweepOptions sweep;
-    sweep.store = &cache;
-    const std::vector<std::int64_t> sizes{10'000, 100'000, 1'000'000};
-    const TransportConfig config = TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled);
-    std::cout << "\nFlow-size sweep through the result store"
-                 " (quickstart_out/quickstart_store/):\n";
-    for (int pass = 1; pass <= 2; ++pass) {
-      const auto points = sweep_flow_sizes(net, config, sizes, sweep);
-      const auto stats = cache.stats();
-      std::cout << "  pass " << pass << ": " << points.size() << " points, "
-                << stats.hits << " cache hit(s), " << stats.misses << " miss(es)\n";
-    }
-    cache.seal_active();
-    // The same directory can back a fleet of workers over a socket —
-    // store::remote::RemoteStore is a drop-in for the cache above:
-    //   ./build/tools/mn_store serve quickstart_out/quickstart_store \
-    //       --socket /tmp/mn.sock &
-    //   ./build/tools/mn_store ping /tmp/mn.sock
-    //   ./build/tools/mn_store get /tmp/mn.sock <keyhex-from-dump>
-    std::cout << "  (serve this store to a fleet: mn_store serve "
-                 "quickstart_out/quickstart_store --socket /tmp/mn.sock)\n";
-  }
   return 0;
 }

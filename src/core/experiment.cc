@@ -1,58 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <stdexcept>
-
 #include "faults/fault_injector.hpp"
-#include "store/codec.hpp"
 #include "util/parallel.hpp"
 
 namespace mn {
-namespace {
-
-/// Absorb one link direction into a scenario key: every field of the
-/// spec, including the full-precision trace contents when trace-driven.
-void key_link(store::KeyBuilder& key, const LinkSpec& spec) {
-  key.boolean(spec.rate_mbps.has_value());
-  if (spec.rate_mbps) key.f64(*spec.rate_mbps);
-  key.boolean(spec.trace != nullptr);
-  if (spec.trace) {
-    key.i64(spec.trace->period().usec());
-    key.u64(spec.trace->opportunities_per_period());
-    for (const Duration d : spec.trace->opportunities()) key.i64(d.usec());
-  }
-  key.i64(spec.one_way_delay.usec())
-      .f64(spec.loss_rate)
-      .u32(static_cast<std::uint32_t>(spec.queue_packets))
-      .u64(spec.loss_seed)
-      .boolean(spec.burst_loss.has_value());
-  if (spec.burst_loss) {
-    key.f64(spec.burst_loss->loss_good)
-        .f64(spec.burst_loss->loss_bad)
-        .f64(spec.burst_loss->p_good_to_bad)
-        .f64(spec.burst_loss->p_bad_to_good)
-        .u64(spec.burst_loss->seed);
-  }
-}
-
-void key_transport(store::KeyBuilder& key, const TransportConfig& config) {
-  key.u8(static_cast<std::uint8_t>(config.kind)).u8(static_cast<std::uint8_t>(config.path));
-  const MptcpSpec& mp = config.mp;
-  key.u8(static_cast<std::uint8_t>(mp.primary))
-      .u8(static_cast<std::uint8_t>(mp.cc))
-      .u8(static_cast<std::uint8_t>(mp.mode))
-      .i64(mp.join_delay.usec())
-      .i64(mp.receive_window_bytes)
-      .u8(static_cast<std::uint8_t>(mp.scheduler))
-      .boolean(mp.opportunistic_reinjection)
-      .boolean(mp.penalization)
-      .i64(mp.subflow_min_rto.usec())
-      .i64(mp.subflow_initial_rto.usec())
-      .i64(mp.subflow_max_rto.usec());
-}
-
-constexpr std::uint8_t kSweepPointBlobVersion = 1;
-
-}  // namespace
 
 TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net,
                                        const TransportConfig& config, std::int64_t bytes,
@@ -119,85 +70,17 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
   return run_transport_flow(sim, net, config, bytes, dir, options);
 }
 
-store::ScenarioKey sweep_scenario_key(const MpNetworkSetup& net,
-                                      const TransportConfig& config, std::int64_t bytes,
-                                      Direction dir) {
-  store::KeyBuilder key{"sweep-point"};
-  key_link(key, net.wifi_up);
-  key_link(key, net.wifi_down);
-  key_link(key, net.lte_up);
-  key_link(key, net.lte_down);
-  key.boolean(net.wifi_reports_carrier_loss).boolean(net.lte_reports_carrier_loss);
-  key_transport(key, config);
-  key.i64(bytes).u8(static_cast<std::uint8_t>(dir));
-  return key.finish();
-}
-
-std::string serialize_sweep_point(const SweepPoint& point) {
-  store::BinWriter w;
-  w.put_u8(kSweepPointBlobVersion);
-  w.put_i64(point.flow_bytes);
-  w.put_f64(point.throughput_mbps);
-  w.put_i64(point.completion_time.usec());
-  return w.take();
-}
-
-SweepPoint parse_sweep_point(std::string_view blob) {
-  store::BinReader r{blob};
-  if (r.get_u8() != kSweepPointBlobVersion) {
-    throw std::runtime_error("sweep point blob: unknown layout version");
-  }
-  SweepPoint point;
-  point.flow_bytes = r.get_i64();
-  point.throughput_mbps = r.get_f64();
-  point.completion_time = Duration{r.get_i64()};
-  r.expect_done();
-  return point;
-}
-
 std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
                                          const TransportConfig& config,
                                          const std::vector<std::int64_t>& sizes,
                                          const SweepOptions& options) {
   // Each point is a pure function of (net, config, bytes, dir): a fresh
   // private Simulator per point, the shared setup read-only.
-  auto simulate = [&](std::int64_t bytes) {
+  return parallel_map(sizes.size(), options.parallelism, [&](std::size_t i) {
     Simulator sim;  // fresh world per point: identical starting conditions
-    const auto r = run_transport_flow(sim, net, config, bytes, options.dir);
-    return SweepPoint{bytes, r.throughput_mbps, r.completion_time};
-  };
-  if (options.store == nullptr) {
-    return parallel_map(sizes.size(), options.parallelism,
-                        [&](std::size_t i) { return simulate(sizes[i]); });
-  }
-  // Cache-aware sweep, same shape as run_campaign: hits resolved up
-  // front, only the misses simulated, results reassembled in size order.
-  std::vector<store::ScenarioKey> keys(sizes.size());
-  std::vector<SweepPoint> points(sizes.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    keys[i] = sweep_scenario_key(net, config, sizes[i], options.dir);
-  }
-  const auto blobs = options.store->lookup_many(keys);
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (blobs[i]) {
-      try {
-        points[i] = parse_sweep_point(*blobs[i]);
-        continue;
-      } catch (const std::exception&) {
-        // Undecodable blob = miss; superseded by the fresh result below.
-      }
-    }
-    missing.push_back(i);
-  }
-  const std::vector<SweepPoint> fresh =
-      parallel_map(missing.size(), options.parallelism,
-                   [&](std::size_t j) { return simulate(sizes[missing[j]]); });
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    options.store->put(keys[missing[j]], serialize_sweep_point(fresh[j]));
-    points[missing[j]] = fresh[j];
-  }
-  return points;
+    const auto r = run_transport_flow(sim, net, config, sizes[i], options.dir);
+    return SweepPoint{sizes[i], r.throughput_mbps, r.completion_time};
+  });
 }
 
 std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,

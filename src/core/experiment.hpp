@@ -10,8 +10,6 @@
 #include "core/config.hpp"
 #include "faults/fault_plan.hpp"
 #include "mptcp/testbed.hpp"
-#include "store/key.hpp"
-#include "store/store.hpp"
 #include "tcp/flow.hpp"
 
 namespace mn {
@@ -71,24 +69,7 @@ struct SweepOptions {
   /// follow MN_THREADS.  Each point builds a private Simulator from the
   /// shared-immutable setup, so results are bit-identical at any value.
   int parallelism = -1;
-  /// Optional result store: each point is looked up before simulating
-  /// and appended on miss.  Figure benches sharing one store then pay
-  /// for each (net, config, size, dir) point once across the suite.
-  /// Not owned.
-  store::Store* store = nullptr;
 };
-
-/// Content key of one sweep point: a canonical hash of the full network
-/// setup (including trace contents), the transport configuration, the
-/// flow size, and the direction.
-[[nodiscard]] store::ScenarioKey sweep_scenario_key(const MpNetworkSetup& net,
-                                                    const TransportConfig& config,
-                                                    std::int64_t bytes, Direction dir);
-
-/// Store blob codec for SweepPoint; parse throws std::runtime_error on
-/// corruption (treated upstream as a cache miss).
-[[nodiscard]] std::string serialize_sweep_point(const SweepPoint& point);
-[[nodiscard]] SweepPoint parse_sweep_point(std::string_view blob);
 
 /// Throughput as a function of flow size for one config (Figure 7 axes).
 [[nodiscard]] std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,

@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 
 #include "faults/fault_injector.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
-#include "store/codec.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mn {
 namespace {
-
-constexpr std::uint8_t kChaosReportBlobVersion = 2;  // v2: negotiation fields
 
 /// Best-effort black-box file: reporting must never throw.
 void write_flight_dump(const ChaosRunReport& report, const std::string& dir) {
@@ -181,113 +177,15 @@ ChaosRunReport run_chaos_run(std::uint64_t seed, const ChaosSoakOptions& options
   return report;
 }
 
-store::ScenarioKey chaos_scenario_key(std::uint64_t seed, const ChaosSoakOptions& options) {
-  store::KeyBuilder key{"chaos-run"};
-  key.u64(seed)
-      .i64(options.min_bytes)
-      .i64(options.max_bytes)
-      .i64(options.timeout.usec())
-      .i64(options.stall_limit.usec())
-      .i64(options.plan.horizon.usec())
-      .u32(static_cast<std::uint32_t>(options.plan.max_events))
-      .f64(options.plan.restore_probability)
-      .f64(options.plan.middlebox_probability)
-      .u64(options.flight_recorder_events);
-  return key.finish();
-}
-
-std::string serialize_chaos_report(const ChaosRunReport& report) {
-  store::BinWriter w;
-  w.put_u8(kChaosReportBlobVersion);
-  w.put_u64(report.seed);
-  w.put_bool(report.completed);
-  w.put_str(report.failure_reason);
-  w.put_i64(report.max_stall.usec());
-  w.put_u32(static_cast<std::uint32_t>(report.faults_applied));
-  w.put_u32(static_cast<std::uint32_t>(report.faults_skipped));
-  w.put_i64(report.bytes_requested);
-  w.put_i64(report.bytes_observed);
-  w.put_str(report.plan_text);
-  w.put_bool(report.negotiated_mp);
-  w.put_bool(report.achieved_mp);
-  w.put_str(report.fallback_reason);
-  w.put_u32(static_cast<std::uint32_t>(report.violations.size()));
-  for (const std::string& v : report.violations) w.put_str(v);
-  store::put_metrics_snapshot(w, report.metrics);
-  w.put_str(report.flight_dump);
-  return w.take();
-}
-
-ChaosRunReport parse_chaos_report(std::string_view blob) {
-  store::BinReader r{blob};
-  if (r.get_u8() != kChaosReportBlobVersion) {
-    throw std::runtime_error("chaos report blob: unknown layout version");
-  }
-  ChaosRunReport report;
-  report.seed = r.get_u64();
-  report.completed = r.get_bool();
-  report.failure_reason = r.get_str();
-  report.max_stall = Duration{r.get_i64()};
-  report.faults_applied = static_cast<int>(r.get_u32());
-  report.faults_skipped = static_cast<int>(r.get_u32());
-  report.bytes_requested = r.get_i64();
-  report.bytes_observed = r.get_i64();
-  report.plan_text = r.get_str();
-  report.negotiated_mp = r.get_bool();
-  report.achieved_mp = r.get_bool();
-  report.fallback_reason = r.get_str();
-  const std::uint32_t violations = r.get_u32();
-  if (violations > r.remaining() / 4) throw std::runtime_error("store payload truncated");
-  report.violations.reserve(violations);
-  for (std::uint32_t i = 0; i < violations; ++i) report.violations.push_back(r.get_str());
-  report.metrics = store::get_metrics_snapshot(r);
-  report.flight_dump = r.get_str();
-  r.expect_done();
-  return report;
-}
-
 ChaosSoakSummary run_chaos_soak(const ChaosSoakOptions& options) {
   // Parallel execute phase: each run is seeded independently and owns
   // all of its state; the serial reduction below keeps the summary (and
   // the order of violation reports) identical at any worker count.
   const std::size_t n = options.runs > 0 ? static_cast<std::size_t>(options.runs) : 0;
-  std::vector<ChaosRunReport> reports;
-  if (options.store == nullptr) {
-    reports = parallel_map(n, options.parallelism, [&](std::size_t i) {
-      return run_chaos_run(options.seed + static_cast<std::uint64_t>(i), options);
-    });
-  } else {
-    // Cache-aware soak: hits replay their report (and re-write their
-    // flight-dump black box), only the misses execute.
-    std::vector<std::uint64_t> seeds(n);
-    std::vector<store::ScenarioKey> keys(n);
-    reports.resize(n);
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < n; ++i) {
-      seeds[i] = options.seed + static_cast<std::uint64_t>(i);
-      keys[i] = chaos_scenario_key(seeds[i], options);
-    }
-    const auto blobs = options.store->lookup_many(keys);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (blobs[i]) {
-        try {
-          reports[i] = parse_chaos_report(*blobs[i]);
-          write_flight_dump(reports[i], options.flight_dump_dir);
-          continue;
-        } catch (const std::exception&) {
-          // Undecodable blob = miss; superseded by the fresh run below.
-        }
-      }
-      missing.push_back(i);
-    }
-    std::vector<ChaosRunReport> fresh =
-        parallel_map(missing.size(), options.parallelism,
-                     [&](std::size_t j) { return run_chaos_run(seeds[missing[j]], options); });
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      options.store->put(keys[missing[j]], serialize_chaos_report(fresh[j]));
-      reports[missing[j]] = std::move(fresh[j]);
-    }
-  }
+  const std::vector<ChaosRunReport> reports =
+      parallel_map(n, options.parallelism, [&](std::size_t i) {
+        return run_chaos_run(options.seed + static_cast<std::uint64_t>(i), options);
+      });
   ChaosSoakSummary summary;
   for (const ChaosRunReport& report : reports) {
     ++summary.runs;

@@ -22,8 +22,6 @@
 #include "faults/fault_plan.hpp"
 #include "mptcp/testbed.hpp"
 #include "obs/metrics.hpp"
-#include "store/key.hpp"
-#include "store/store.hpp"
 
 namespace mn {
 
@@ -48,12 +46,6 @@ struct ChaosSoakOptions {
   /// When non-empty and a dump was taken, also write it to
   /// `<dir>/chaos_flight_<seed>.mnfr` (FlightRecorder::parse reads it).
   std::string flight_dump_dir;
-  /// Optional result store: run_chaos_soak looks each seed up before
-  /// executing and appends fresh reports on miss.  A cached run that
-  /// carried a flight dump re-writes its .mnfr file, so the on-disk
-  /// black boxes survive a crash-and-rerun exactly like the reports.
-  /// Not owned.
-  store::Store* store = nullptr;
 };
 
 /// Everything observed in one chaos run (reproducible from `seed`).
@@ -101,16 +93,5 @@ struct ChaosSoakSummary {
 
 /// Run `options.runs` seeded chaos runs (seeds options.seed + i).
 [[nodiscard]] ChaosSoakSummary run_chaos_soak(const ChaosSoakOptions& options = {});
-
-/// Content key of one chaos run: the seed plus every option that shapes
-/// the run (byte range, timeout, watchdog, random-plan knobs, and the
-/// flight-recorder size, which changes the captured dump).
-[[nodiscard]] store::ScenarioKey chaos_scenario_key(std::uint64_t seed,
-                                                    const ChaosSoakOptions& options);
-
-/// Store blob codec for ChaosRunReport; parse throws std::runtime_error
-/// on corruption (treated upstream as a cache miss).
-[[nodiscard]] std::string serialize_chaos_report(const ChaosRunReport& report);
-[[nodiscard]] ChaosRunReport parse_chaos_report(std::string_view blob);
 
 }  // namespace mn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <stdexcept>
 
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
@@ -10,7 +11,6 @@
 #include "net/middlebox.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
-#include "store/codec.hpp"
 #include "tcp/flow.hpp"
 #include "util/parallel.hpp"
 
@@ -259,142 +259,11 @@ RunRecord execute_run(const RunPlan& plan, const CampaignOptions& options) {
   return rec;
 }
 
-store::ScenarioKey scenario_key(const RunPlan& plan, const CampaignOptions& options) {
-  store::KeyBuilder key{"campaign-run"};
-  key.str(plan.cluster)
-      .f64(plan.pos.lat_deg)
-      .f64(plan.pos.lon_deg)
-      .boolean(plan.skip_wifi)
-      .boolean(plan.skip_lte)
-      .f64(plan.wifi_rate_mbps)
-      .i64(plan.wifi_delay.usec())
-      .f64(plan.lte_rate_mbps)
-      .i64(plan.lte_delay.usec())
-      .u64(plan.probe_seed)
-      .boolean(plan.has_faults);
-  if (plan.has_faults) {
-    // The fault plan and its watchdog change probe behaviour — but the
-    // watchdog only for faulted runs, so it only keys here.
-    key.str(plan.faults.serialize()).i64(options.fault_stall_limit.usec());
-  }
-  key.boolean(plan.has_middlebox);
-  if (plan.has_middlebox) {
-    // The scheduler only shapes the MPTCP probe, so it only keys here:
-    // legacy (probe-less) keys are untouched by the knob.
-    key.f64(plan.middlebox_strip).u64(plan.middlebox_seed).i64(options.mp_probe_bytes);
-    key.str(to_string(options.mp_scheduler));
-  }
-  key.i64(options.transfer_bytes).u32(static_cast<std::uint32_t>(options.ping_count));
-  return key.finish();
-}
-
-namespace {
-
-/// Blob layout version for serialized RunRecords (independent of the
-/// key's kRunFormatVersion: layout can evolve without invalidating keys).
-constexpr std::uint8_t kRunRecordBlobVersion = 3;  // v3: probe energy + scheduler
-/// Oldest version parse_run_record still reads (missing fields default).
-constexpr std::uint8_t kOldestReadableBlobVersion = 2;
-
-}  // namespace
-
-std::string serialize_run_record(const RunRecord& rec) {
-  store::BinWriter w;
-  w.put_u8(kRunRecordBlobVersion);
-  w.put_str(rec.cluster);
-  w.put_f64(rec.pos.lat_deg);
-  w.put_f64(rec.pos.lon_deg);
-  w.put_bool(rec.wifi_measured);
-  w.put_bool(rec.lte_measured);
-  w.put_f64(rec.wifi_up_mbps);
-  w.put_f64(rec.wifi_down_mbps);
-  w.put_f64(rec.lte_up_mbps);
-  w.put_f64(rec.lte_down_mbps);
-  w.put_f64(rec.wifi_rtt_ms);
-  w.put_f64(rec.lte_rtt_ms);
-  w.put_bool(rec.failed);
-  w.put_str(rec.failure_reason);
-  w.put_bool(rec.mp_probed);
-  w.put_bool(rec.negotiated_mp);
-  w.put_bool(rec.achieved_mp);
-  w.put_str(rec.fallback_reason);
-  w.put_f64(rec.energy_wifi_j);
-  w.put_f64(rec.energy_lte_j);
-  w.put_str(rec.scheduler);
-  store::put_metrics_snapshot(w, rec.metrics);
-  return w.take();
-}
-
-RunRecord parse_run_record(std::string_view blob) {
-  store::BinReader r{blob};
-  const std::uint8_t version = r.get_u8();
-  if (version < kOldestReadableBlobVersion || version > kRunRecordBlobVersion) {
-    throw std::runtime_error("run record blob: unknown layout version");
-  }
-  RunRecord rec;
-  rec.cluster = r.get_str();
-  rec.pos.lat_deg = r.get_f64();
-  rec.pos.lon_deg = r.get_f64();
-  rec.wifi_measured = r.get_bool();
-  rec.lte_measured = r.get_bool();
-  rec.wifi_up_mbps = r.get_f64();
-  rec.wifi_down_mbps = r.get_f64();
-  rec.lte_up_mbps = r.get_f64();
-  rec.lte_down_mbps = r.get_f64();
-  rec.wifi_rtt_ms = r.get_f64();
-  rec.lte_rtt_ms = r.get_f64();
-  rec.failed = r.get_bool();
-  rec.failure_reason = r.get_str();
-  rec.mp_probed = r.get_bool();
-  rec.negotiated_mp = r.get_bool();
-  rec.achieved_mp = r.get_bool();
-  rec.fallback_reason = r.get_str();
-  if (version >= 3) {
-    rec.energy_wifi_j = r.get_f64();
-    rec.energy_lte_j = r.get_f64();
-    rec.scheduler = r.get_str();
-  }
-  rec.metrics = store::get_metrics_snapshot(r);
-  r.expect_done();
-  return rec;
-}
-
 std::vector<RunRecord> run_campaign(const std::vector<ClusterSpec>& world,
                                     const CampaignOptions& options) {
   const std::vector<RunPlan> plans = plan_campaign(world, options);
-  if (options.store == nullptr) {
-    return parallel_map(plans.size(), options.parallelism,
-                        [&](std::size_t i) { return execute_run(plans[i], options); });
-  }
-  // Cache-aware execute: resolve hits up front, simulate only the
-  // misses, then reassemble in plan order — the output is byte-identical
-  // to the storeless path for any mix of hits and misses.
-  std::vector<store::ScenarioKey> keys(plans.size());
-  std::vector<RunRecord> records(plans.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < plans.size(); ++i) keys[i] = scenario_key(plans[i], options);
-  // One batched lookup: a remote store answers the whole plan in a
-  // single MULTI_GET round trip instead of one RTT per run.
-  const auto blobs = options.store->lookup_many(keys);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (blobs[i]) {
-      try {
-        records[i] = parse_run_record(*blobs[i]);
-        continue;
-      } catch (const std::exception&) {
-        // Undecodable blob = miss; the fresh result supersedes it below.
-      }
-    }
-    missing.push_back(i);
-  }
-  std::vector<RunRecord> fresh =
-      parallel_map(missing.size(), options.parallelism,
-                   [&](std::size_t j) { return execute_run(plans[missing[j]], options); });
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    options.store->put(keys[missing[j]], serialize_run_record(fresh[j]));
-    records[missing[j]] = std::move(fresh[j]);
-  }
-  return records;
+  return parallel_map(plans.size(), options.parallelism,
+                      [&](std::size_t i) { return execute_run(plans[i], options); });
 }
 
 std::vector<RunRecord> complete_runs(const std::vector<RunRecord>& all) {
@@ -450,21 +319,15 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
   const auto c_ld = data.col("lte_down");
   const auto c_wr = data.col("wifi_rtt_ms");
   const auto c_lr = data.col("lte_rtt_ms");
-  // Metrics columns appeared with the observability subsystem; files
-  // written before it legitimately lack them.
-  const auto c_mx = data.find_col("m_retransmits");
-  const auto c_mr = data.find_col("m_rto");
-  const auto c_md = data.find_col("m_drops");
-  // MPTCP columns appeared with the middlebox adversary layer; older
-  // files legitimately lack them.
-  const auto c_nm = data.find_col("negotiated_mp");
-  const auto c_am = data.find_col("achieved_mp");
-  const auto c_fr = data.find_col("fallback_reason");
-  // Energy + scheduler columns appeared with the pluggable-scheduler
-  // layer; files written before it legitimately lack them.
-  const auto c_ew = data.find_col("m_energy_wifi_j");
-  const auto c_el = data.find_col("m_energy_lte_j");
-  const auto c_sc = data.find_col("scheduler");
+  const auto c_mx = data.col("m_retransmits");
+  const auto c_mr = data.col("m_rto");
+  const auto c_md = data.col("m_drops");
+  const auto c_nm = data.col("negotiated_mp");
+  const auto c_am = data.col("achieved_mp");
+  const auto c_fr = data.col("fallback_reason");
+  const auto c_ew = data.col("m_energy_wifi_j");
+  const auto c_el = data.col("m_energy_lte_j");
+  const auto c_sc = data.col("scheduler");
   for (std::size_t i = 0; i < data.rows.size(); ++i) {
     const auto& row = data.rows[i];
     // Rows can come from hand-built CsvData, not just parse_csv (which
@@ -485,35 +348,29 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
       r.wifi_rtt_ms = parse_double(row[c_wr]);
       r.lte_rtt_ms = parse_double(row[c_lr]);
       r.wifi_measured = r.lte_measured = true;
-      if (c_nm && c_am && c_fr) {
-        r.mp_probed = !row[*c_nm].empty();
-        if (r.mp_probed) {
-          r.negotiated_mp = row[*c_nm] == "1";
-          r.achieved_mp = row[*c_am] == "1";
-          r.fallback_reason = row[*c_fr];
-        }
+      r.mp_probed = !row[c_nm].empty();
+      if (r.mp_probed) {
+        r.negotiated_mp = row[c_nm] == "1";
+        r.achieved_mp = row[c_am] == "1";
+        r.fallback_reason = row[c_fr];
+        r.energy_wifi_j = parse_double(row[c_ew]);
+        r.energy_lte_j = parse_double(row[c_el]);
+        r.scheduler = row[c_sc];
       }
-      if (r.mp_probed && c_ew && c_el && c_sc) {
-        if (!row[*c_ew].empty()) r.energy_wifi_j = parse_double(row[*c_ew]);
-        if (!row[*c_el].empty()) r.energy_lte_j = parse_double(row[*c_el]);
-        r.scheduler = row[*c_sc];
-      }
-      if (c_mx && c_mr && c_md) {
-        // Rebuild just enough of the snapshot that a re-export emits the
-        // same columns: drop causes collapse to one "drop.total" counter.
-        auto counter = [](std::string name, std::int64_t v) {
-          obs::SnapshotEntry e;
-          e.name = std::move(name);
-          e.kind = obs::MetricKind::kCounter;
-          e.value = v;
-          return e;
-        };
-        r.metrics.entries = {
-            counter("drop.total", llround(parse_double(row[*c_md]))),
-            counter("tcp.retransmits", llround(parse_double(row[*c_mx]))),
-            counter("tcp.rto_fires", llround(parse_double(row[*c_mr]))),
-        };
-      }
+      // Rebuild just enough of the snapshot that a re-export emits the
+      // same columns: drop causes collapse to one "drop.total" counter.
+      auto counter = [](std::string name, std::int64_t v) {
+        obs::SnapshotEntry e;
+        e.name = std::move(name);
+        e.kind = obs::MetricKind::kCounter;
+        e.value = v;
+        return e;
+      };
+      r.metrics.entries = {
+          counter("drop.total", llround(parse_double(row[c_md]))),
+          counter("tcp.retransmits", llround(parse_double(row[c_mx]))),
+          counter("tcp.rto_fires", llround(parse_double(row[c_mr]))),
+      };
       out.push_back(std::move(r));
     } catch (const std::exception& e) {
       throw std::runtime_error("campaign CSV row " + std::to_string(i + 1) + ": " +

@@ -16,8 +16,6 @@
 #include "measure/world.hpp"
 #include "mptcp/mptcp.hpp"
 #include "obs/metrics.hpp"
-#include "store/key.hpp"
-#include "store/store.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -88,26 +86,20 @@ struct CampaignOptions {
   /// fixed middlebox per run).  Sweeping this knob over the Table-1
   /// grid reproduces the negotiated-vs-achieved multipath table.  All
   /// draws are gated on the knob, so 0 keeps the legacy campaign
-  /// stream, records, keys, and CSV byte-identical.
+  /// stream, records, and CSV byte-identical.
   double middlebox_strip_probability = 0.0;
   /// Bytes moved by the MPTCP middlebox probe (smaller than the 1 MB
   /// app probes: negotiation outcome, not throughput, is the signal).
   std::int64_t mp_probe_bytes = 250'000;
-  /// Scheduler for the MPTCP probe.  Only keys (and only changes the
-  /// result) for runs that carry a middlebox probe, so the legacy
-  /// campaign stream and keys stay byte-identical at the default.
+  /// Scheduler for the MPTCP probe.  Only changes the result for runs
+  /// that carry a middlebox probe, so the legacy campaign stream stays
+  /// byte-identical at the default.
   MpScheduler mp_scheduler = MpScheduler::kLowestRtt;
   /// Worker threads for the execute phase: 0/1 = serial, negative =
   /// follow MN_THREADS.  Output is bit-identical for every value —
   /// the plan phase pre-draws all randomness serially and each run
   /// executes against a private forked Rng.
   int parallelism = -1;
-  /// Optional result store: run_campaign consults it before executing
-  /// each plan and appends fresh results on miss.  Records, merged
-  /// metrics, and CSV are byte-identical whether a run was simulated or
-  /// replayed from cache (the store's own hit/miss counters live on the
-  /// store, never in the run metrics).  Not owned.
-  store::Store* store = nullptr;
 };
 
 /// One pre-planned campaign run: every random input the run needs,
@@ -155,21 +147,6 @@ struct RunPlan {
 /// Merge every run's metrics snapshot in record (= plan) order: the
 /// campaign-wide counters/histograms.  Serial, deterministic.
 [[nodiscard]] obs::MetricsSnapshot merge_run_metrics(const std::vector<RunRecord>& runs);
-
-/// Content key of one campaign run: a canonical hash of the pre-drawn
-/// plan plus the result-affecting options (transfer_bytes, ping_count,
-/// and the fault watchdog when the plan carries faults).  Plan-phase
-/// inputs like seed, run_scale, and parallelism deliberately do NOT
-/// key — they shape which plans exist, not what one plan produces.
-[[nodiscard]] store::ScenarioKey scenario_key(const RunPlan& plan,
-                                              const CampaignOptions& options);
-
-/// Store blob codec for RunRecord (canonical little-endian encoding,
-/// bit-exact round trip including the metrics snapshot).  parse throws
-/// std::runtime_error on any truncation/corruption — callers treat that
-/// as a cache miss.
-[[nodiscard]] std::string serialize_run_record(const RunRecord& rec);
-[[nodiscard]] RunRecord parse_run_record(std::string_view blob);
 
 /// CSV persistence (the app's "upload to the server at MIT").
 [[nodiscard]] CsvWriter to_csv(const std::vector<RunRecord>& runs);

@@ -55,10 +55,6 @@ class DeliveryTrace {
 
   [[nodiscard]] Duration period() const { return period_; }
   [[nodiscard]] std::size_t opportunities_per_period() const { return opportunities_.size(); }
-  /// The sorted per-period opportunity offsets, exactly as stored —
-  /// full precision (unlike the millisecond-rounded Mahimahi text), so
-  /// content hashing (the result store's scenario keys) is collision-safe.
-  [[nodiscard]] const std::vector<Duration>& opportunities() const { return opportunities_; }
   /// Long-run average rate implied by the trace, in megabits/second,
   /// assuming every opportunity carries a full MTU.
   [[nodiscard]] double average_rate_mbps() const;

@@ -33,26 +33,6 @@ std::string ScenarioKey::hex() const {
   return out;
 }
 
-std::optional<ScenarioKey> ScenarioKey::from_hex(std::string_view s) {
-  if (s.size() != 32) return std::nullopt;
-  std::uint64_t halves[2] = {0, 0};
-  for (std::size_t i = 0; i < 32; ++i) {
-    const char c = s[i];
-    std::uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      nibble = static_cast<std::uint64_t>(c - 'A' + 10);
-    } else {
-      return std::nullopt;
-    }
-    halves[i / 16] = (halves[i / 16] << 4) | nibble;
-  }
-  return ScenarioKey{halves[0], halves[1]};
-}
-
 KeyBuilder::KeyBuilder(std::string_view domain, std::uint32_t version)
     : h_(fnv_offset_basis()) {
   str(domain);

@@ -1,9 +1,8 @@
-// Canonical scenario keying for the result store.
+// Canonical content keys for RunStore records.
 //
 // A ScenarioKey is a 128-bit content hash over a canonical little-endian
-// binary encoding of everything that can affect a work unit's result:
-// the pre-drawn RunPlan fields, the result-affecting experiment options,
-// and a format-version salt.  Two invariants make it a safe cache key:
+// binary encoding of everything that can affect a work unit's result,
+// plus a format-version salt.  Two invariants make it a safe cache key:
 //
 //   1. *Canonical encoding*: every field is appended in a fixed order
 //      with explicit widths (strings length-prefixed), so the key never
@@ -25,7 +24,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,10 +45,6 @@ struct ScenarioKey {
 
   /// 32 lowercase hex characters, hi half first (stable display form).
   [[nodiscard]] std::string hex() const;
-
-  /// Inverse of hex(): exactly 32 hex digits (either case), or nullopt.
-  /// Operator tooling takes keys on the command line in this form.
-  [[nodiscard]] static std::optional<ScenarioKey> from_hex(std::string_view s);
 };
 
 /// For unordered_map: the key is already a high-quality hash.

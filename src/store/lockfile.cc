@@ -15,10 +15,6 @@ std::string store_lock_path(const std::string& dir) {
   return (std::filesystem::path(dir) / "store.lock").string();
 }
 
-std::string serve_lock_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / "serve.lock").string();
-}
-
 FileLock::~FileLock() { release(); }
 
 FileLock::FileLock(FileLock&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
@@ -85,8 +81,8 @@ FileLock FileLock::exclusive(const std::string& path, int attempts,
     if (i + 1 < attempts) std::this_thread::sleep_for(backoff);
   }
   throw StoreBusyError("store lock: " + path +
-                       " is held shared by another appender (a live RunStore or "
-                       "store server); close it or retry later");
+                       " is held shared by another appender (a live RunStore); "
+                       "close it or retry later");
 }
 
 }  // namespace mn::store

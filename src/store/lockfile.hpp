@@ -7,8 +7,8 @@
 // O_EXCL claims (see claim in run_store.cc); (a) is solved here with a
 // classic shared/exclusive advisory lock on `<dir>/store.lock`:
 //
-//   - every open RunStore / store server holds the lock SHARED for its
-//     whole lifetime (appenders and loaders can coexist freely — each
+//   - every open RunStore holds the lock SHARED for its whole
+//     lifetime (appenders and loaders can coexist freely — each
 //     writes only its own claimed segment file);
 //   - compact() takes it EXCLUSIVE, with bounded non-blocking retries,
 //     so it can census + rewrite + delete with no appender alive.  A
@@ -17,8 +17,8 @@
 // flock is per open-file-description: two RunStores in one process get
 // independent descriptions and therefore behave exactly like two
 // processes — which is what the in-process regression tests exploit.
-// Locks are advisory; `mn_store verify` (pure read of immutable bytes
-// plus a torn-tail-tolerant scan) deliberately takes none.
+// Locks are advisory; verify_store (pure read of immutable bytes plus a
+// torn-tail-tolerant scan) deliberately takes none.
 #pragma once
 
 #include <chrono>
@@ -29,9 +29,6 @@ namespace mn::store {
 
 /// The lock file every coordinated opener of `dir` agrees on.
 [[nodiscard]] std::string store_lock_path(const std::string& dir);
-/// The writer-role lock a store server holds exclusively (one server
-/// per directory; a second `mn_store serve` fails fast).
-[[nodiscard]] std::string serve_lock_path(const std::string& dir);
 
 /// Thrown when an exclusive acquisition times out because other
 /// processes still hold the lock shared.  Nothing was modified.

@@ -1,29 +1,24 @@
 // RunStore: a durable, content-addressed cache of deterministic work
-// units — the memoization layer under run_campaign, sweep_flow_sizes,
-// and the chaos soak.
+// units.  No campaign, sweep or chaos soak reads or writes one; they all
+// run storeless.
 //
 // A store is a directory of MNRS1 segment files (see segment.hpp).
 // Opening loads every readable record into an in-memory key -> blob
 // map (later segments / later frames supersede earlier ones); put()
 // appends to a fresh active segment with a flush per record, so a
-// killed campaign keeps everything it finished — re-running against
-// the same store resumes with only the missing runs executing.
+// killed writer keeps every record it finished.
 //
 // Corruption never escalates: a segment with an unknown magic/version
 // is refused wholesale, a torn final frame is truncated away, a frame
 // with a bad CRC is skipped — all of it surfaces only as cache misses
 // plus the store.torn_frames counter.
 //
-// Concurrency: lookup()/put() are mutex-serialized, so the parallel
-// execute phases can share one store.  Determinism is unaffected —
-// results are assembled in plan order by the callers, and a key's blob
-// is a pure function of the keyed inputs, so *which* worker wrote it
-// first can never change a byte of output.
+// Concurrency: lookup()/put() are mutex-serialized, so parallel workers
+// can share one store.
 //
-// Cross-process sharing (the fleet tier, see lockfile.hpp): every open
-// RunStore holds `<dir>/store.lock` SHARED for its lifetime, new
-// segment files are claimed with O_EXCL so two appenders can never
-// clobber one another, and compact() upgrades to an EXCLUSIVE hold and
+// Cross-process sharing (see lockfile.hpp): every open RunStore holds
+// `<dir>/store.lock` SHARED for its lifetime, new segment files are
+// claimed with O_EXCL so two appenders can never clobber one another, and compact() upgrades to an EXCLUSIVE hold and
 // re-censuses the directory from disk — records appended by *other*
 // processes (which this handle never loaded) survive compaction.
 // A compact attempted while another appender is alive throws
@@ -31,10 +26,7 @@
 //
 // Observability: hits/misses/appended bytes/torn frames are recorded in
 // an owned obs::MetricsRegistry (store.hits, store.misses,
-// store.bytes_written, store.torn_frames, ...).  The store's snapshot is
-// deliberately separate from the per-run metrics that merge_run_metrics
-// folds — campaign output must stay byte-identical whether a run was
-// simulated or replayed from cache.
+// store.bytes_written, store.torn_frames, ...).
 #pragma once
 
 #include <cstdint>
@@ -50,34 +42,33 @@
 #include "store/key.hpp"
 #include "store/lockfile.hpp"
 #include "store/segment.hpp"
-#include "store/store.hpp"
 
 namespace mn::store {
 
-class RunStore : public Store {
+class RunStore {
  public:
   /// Opens (creating the directory if needed) and loads every segment.
   /// Throws std::runtime_error when the directory cannot be created or
   /// a segment file cannot be opened at all (corrupt *content* is
   /// tolerated and counted instead).
   explicit RunStore(std::string dir);
-  ~RunStore() override;
+  ~RunStore();
   RunStore(const RunStore&) = delete;
   RunStore& operator=(const RunStore&) = delete;
 
   /// Cached blob for `key`, or nullopt.  Counts store.hits/store.misses.
-  [[nodiscard]] std::optional<std::string> lookup(const ScenarioKey& key) override;
+  [[nodiscard]] std::optional<std::string> lookup(const ScenarioKey& key);
 
   /// Insert/overwrite `key` and append it durably to the active
   /// segment.  Safe to call concurrently with lookups and other puts.
-  void put(const ScenarioKey& key, std::string_view blob) override;
+  void put(const ScenarioKey& key, std::string_view blob);
 
   [[nodiscard]] bool contains(const ScenarioKey& key) const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   /// Every live (key, blob) pair, sorted by key — the deterministic
-  /// iteration order used by compact() and the CLI dump.
+  /// iteration order used by compact().
   [[nodiscard]] std::vector<std::pair<ScenarioKey, std::string>> sorted_entries() const;
 
   /// Rewrite every live entry into one fresh sealed segment and delete
@@ -135,7 +126,7 @@ class RunStore : public Store {
 [[nodiscard]] std::string claim_next_segment(const std::string& dir);
 
 /// Integrity report over a store directory, without opening a RunStore
-/// (pure read: the CLI's `verify`).
+/// (pure read).
 struct SegmentVerify {
   std::string file;  // basename of the segment file
   std::uint64_t records = 0;
@@ -156,8 +147,8 @@ struct VerifyReport {
   std::uint64_t truncated_bytes = 0;
   std::string text;  // one line per segment
   /// One entry per segment file, in load order — the structured form of
-  /// `text`, so callers (the CLI's bad-frame summary, tests) can point
-  /// at exactly which segments hold bad frames.
+  /// `text`, so callers can point at exactly which segments hold bad
+  /// frames.
   std::vector<SegmentVerify> per_segment;
 
   [[nodiscard]] bool ok() const { return torn_frames == 0 && version_mismatches == 0; }

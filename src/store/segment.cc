@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "store/codec.hpp"
 #include "util/crc32.hpp"
 
 namespace mn::store {
@@ -29,6 +28,12 @@ std::uint32_t le_u32(std::string_view bytes, std::size_t at) {
          << (i * 8);
   }
   return v;
+}
+
+/// Appends the low `bytes` bytes of `v`, little-endian: the inverse of
+/// le_u32 / le_u64.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (i * 8)));
 }
 
 std::uint64_t le_u64(std::string_view bytes, std::size_t at) {
@@ -182,9 +187,9 @@ SegmentWriter::SegmentWriter(std::string path) : path_(std::move(path)) {
   out_.open(path_, std::ios::binary | std::ios::trunc);
   if (!out_) throw std::runtime_error("store segment: cannot create " + path_);
   out_.write(kSegmentMagic.data(), static_cast<std::streamsize>(kSegmentMagic.size()));
-  BinWriter header;
-  header.put_u32(kSegmentFormatVersion);
-  out_.write(header.bytes().data(), static_cast<std::streamsize>(header.bytes().size()));
+  std::string header;
+  put_le(header, kSegmentFormatVersion, 4);
+  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
   out_.flush();
   if (!out_) throw std::runtime_error("store segment: write failed on " + path_);
   offset_ = kHeaderBytes;
@@ -201,11 +206,11 @@ SegmentWriter::~SegmentWriter() {
 }
 
 void SegmentWriter::write_frame(FrameType type, std::string_view payload) {
-  BinWriter header;
-  header.put_u32(static_cast<std::uint32_t>(payload.size()));
-  header.put_u32(crc32(payload));
-  header.put_u8(static_cast<std::uint8_t>(type));
-  out_.write(header.bytes().data(), static_cast<std::streamsize>(header.bytes().size()));
+  std::string header;
+  put_le(header, payload.size(), 4);
+  put_le(header, crc32(payload), 4);
+  header.push_back(static_cast<char>(type));
+  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out_.flush();
   if (!out_) throw std::runtime_error("store segment: write failed on " + path_);
@@ -219,10 +224,9 @@ std::uint64_t SegmentWriter::append(const ScenarioKey& key, std::string_view blo
     throw std::length_error("store segment: record blob too large");
   }
   const std::uint64_t frame_offset = offset_;
-  BinWriter payload;
-  payload.put_u64(key.hi);
-  payload.put_u64(key.lo);
-  std::string bytes = payload.take();
+  std::string bytes;
+  put_le(bytes, key.hi, 8);
+  put_le(bytes, key.lo, 8);
   bytes.append(blob.data(), blob.size());
   write_frame(FrameType::kRecord, bytes);
   index_.push_back({key, frame_offset});
@@ -233,18 +237,17 @@ void SegmentWriter::seal() {
   if (sealed_) return;
   sealed_ = true;
   const std::uint64_t index_offset = offset_;
-  BinWriter payload;
-  payload.put_u64(index_.size());
+  std::string payload;
+  put_le(payload, index_.size(), 8);
   for (const IndexEntry& e : index_) {
-    payload.put_u64(e.key.hi);
-    payload.put_u64(e.key.lo);
-    payload.put_u64(e.offset);
+    put_le(payload, e.key.hi, 8);
+    put_le(payload, e.key.lo, 8);
+    put_le(payload, e.offset, 8);
   }
-  write_frame(FrameType::kIndex, payload.bytes());
-  BinWriter footer;
-  footer.put_u64(index_offset);
-  footer.put_u32(crc32(footer.bytes()));  // crc over the 8 offset bytes
-  std::string foot = footer.take();
+  write_frame(FrameType::kIndex, payload);
+  std::string foot;
+  put_le(foot, index_offset, 8);
+  put_le(foot, crc32(foot), 4);  // crc over the 8 offset bytes
   foot.append(kFooterMagic.data(), kFooterMagic.size());
   out_.write(foot.data(), static_cast<std::streamsize>(foot.size()));
   out_.flush();

@@ -1,4 +1,4 @@
-// MNRS1: the result store's append-only segment file format.
+// MNRS1: RunStore's append-only segment file format.
 //
 // Layout:
 //
@@ -18,7 +18,7 @@
 // a frame whose CRC fails mid-file is skipped (resynchronizing on its
 // length header when plausible) and counted.  Either way the reader
 // returns every decodable record and a torn-frame count — corruption
-// degrades the cache hit rate, never the process.
+// degrades the store's hit rate, never the process.
 //
 // A sealed segment (clean close or compact()) carries the footer index:
 // readers then know the exact record census and treat any mismatch as
@@ -56,7 +56,7 @@ struct SegmentEntry {
 
 /// One decodable record located (not copied) by scan_segment: the blob
 /// is a [blob_offset, blob_offset + blob_len) slice of the scanned
-/// buffer.  The basis of the zero-copy mmap views (segment_view.hpp).
+/// buffer.
 struct ScanEntry {
   ScenarioKey key;
   std::uint64_t offset = 0;       // frame offset in the buffer
@@ -73,10 +73,9 @@ struct SegmentScan {
   std::string note;
 };
 
-/// Scan one segment *buffer* (a whole file read into memory, or an
-/// mmap'd view of it) with full corruption tolerance: torn tails
-/// truncate, bad-CRC frames skip, foreign magics refuse — identical
-/// semantics to read_segment, which is now a thin copying wrapper.
+/// Scan one segment *buffer* (a whole file read into memory) with full
+/// corruption tolerance: torn tails truncate, bad-CRC frames skip,
+/// foreign magics refuse.  read_segment is a thin copying wrapper.
 /// An empty buffer is a *claimed-but-never-written* segment (a writer
 /// died between O_EXCL claim and header write): zero records, not
 /// damage, not a refusal.

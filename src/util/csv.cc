@@ -57,15 +57,10 @@ void CsvWriter::save(const std::string& path) const {
 }
 
 std::size_t CsvData::col(const std::string& name) const {
-  if (const auto i = find_col(name)) return *i;
-  throw std::runtime_error("CSV column not found: " + name);
-}
-
-std::optional<std::size_t> CsvData::find_col(const std::string& name) const {
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] == name) return i;
   }
-  return std::nullopt;
+  throw std::runtime_error("CSV column not found: " + name);
 }
 
 CsvData parse_csv(const std::string& text) {

@@ -3,7 +3,6 @@
 // and simple-string cells, comma-separated, first row is the header.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,6 @@ struct CsvData {
 
   /// Index of a header column; throws if absent.
   [[nodiscard]] std::size_t col(const std::string& name) const;
-  /// Index of a header column, or nullopt if absent — for columns added
-  /// by newer writers that older files legitimately lack.
-  [[nodiscard]] std::optional<std::size_t> find_col(const std::string& name) const;
 };
 
 /// Parse CSV text (no quoting/escaping — our writers never emit commas

@@ -15,7 +15,7 @@
 // per-packet fidelity over the same cells is available separately via
 // world::CellPort (port.hpp) for endpoint-level tests.
 //
-// Determinism contract (DESIGN.md §14):
+// Determinism contract (DESIGN.md §13):
 //   - Every per-user random draw comes from an Rng forked off
 //     (seed, cluster name) BEFORE the simulation starts; nothing inside
 //     the event loop draws randomness except the LTE sector's hashed

@@ -60,5 +60,26 @@ TEST(ChaosSoak, TwoHundredSeededPlansHoldAllInvariants) {
   EXPECT_TRUE(summary.ok());
 }
 
+// Each run is a pure function of its seed, so spreading the soak over
+// four workers must not change a count, the worst stall, or which seeds
+// violated an invariant.
+TEST(ChaosSoak, ParallelSummaryIsIdenticalToSerial) {
+  ChaosSoakOptions options = soak_options(40);
+  options.parallelism = 0;
+  const ChaosSoakSummary serial = run_chaos_soak(options);
+  options.parallelism = 4;
+  const ChaosSoakSummary parallel = run_chaos_soak(options);
+  const auto violating_seeds = [](const ChaosSoakSummary& summary) {
+    std::vector<std::uint64_t> seeds;
+    for (const ChaosRunReport& r : summary.violating) seeds.push_back(r.seed);
+    return seeds;
+  };
+  EXPECT_EQ(parallel.runs, serial.runs);
+  EXPECT_EQ(parallel.completed, serial.completed);
+  EXPECT_EQ(parallel.aborted, serial.aborted);
+  EXPECT_EQ(parallel.max_stall.usec(), serial.max_stall.usec());
+  EXPECT_EQ(violating_seeds(parallel), violating_seeds(serial));
+}
+
 }  // namespace
 }  // namespace mn

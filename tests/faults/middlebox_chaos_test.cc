@@ -113,16 +113,6 @@ TEST(MiddleboxChaos, SingleRunIsDeterministicIncludingNegotiationFields) {
   EXPECT_EQ(a.bytes_observed, b.bytes_observed);
 }
 
-TEST(MiddleboxChaos, ReportCodecRoundTripsNegotiationFields) {
-  const ChaosRunReport r = run_chaos_run(23, middlebox_soak_options(1));
-  const ChaosRunReport back = parse_chaos_report(serialize_chaos_report(r));
-  EXPECT_EQ(back.negotiated_mp, r.negotiated_mp);
-  EXPECT_EQ(back.achieved_mp, r.achieved_mp);
-  EXPECT_EQ(back.fallback_reason, r.fallback_reason);
-  EXPECT_EQ(back.plan_text, r.plan_text);
-  EXPECT_EQ(back.violations, r.violations);
-}
-
 // The middlebox acceptance gate: 200 runs whose plans contain ONLY
 // middlebox events.  Every flow must terminate (complete or abort
 // within the watchdog — the soak returning at all proves no hang), hold

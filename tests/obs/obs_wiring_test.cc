@@ -281,13 +281,12 @@ TEST(ObsWiring, CampaignCsvRoundTripsMetricsColumns) {
   // Re-export is stable: metric columns survive the round trip.
   EXPECT_EQ(to_csv(reloaded).str(), text);
 
-  // Files written before the metrics columns still load (all-zero metrics).
+  // A file without the metrics columns is rejected, not loaded with
+  // silently zeroed metrics.
   const std::string legacy =
       "cluster,lat,lon,wifi_up,wifi_down,lte_up,lte_down,wifi_rtt_ms,lte_rtt_ms\n"
       "Old,40,-70,5,6,2,3,20,50\n";
-  const auto old_runs = from_csv(parse_csv(legacy));
-  ASSERT_EQ(old_runs.size(), 1u);
-  EXPECT_TRUE(old_runs[0].metrics.entries.empty());
+  EXPECT_THROW((void)from_csv(parse_csv(legacy)), std::runtime_error);
 }
 
 TEST(ObsWiring, ChaosWatchdogTripDumpsReadableFlightRecorder) {

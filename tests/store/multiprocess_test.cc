@@ -1,6 +1,6 @@
-// Real multi-process coverage: the fleet-tier claims ("two OS processes
-// can append to one directory", "a SIGKILLed server never fails a
-// campaign") proven with fork(2), not in-process simulation.
+// Real multi-process coverage: "two OS processes can append to one
+// directory" and "compact refuses while another process holds the
+// store", proven with fork(2), not in-process simulation.
 //
 // Kept out of the TSan name patterns (no "Parallel"/"Concurrent"):
 // sanitizers and fork don't mix well, and the in-process lock tests
@@ -11,16 +11,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "measure/campaign.hpp"
-#include "store/remote/client.hpp"
-#include "store/remote/server.hpp"
 #include "store/run_store.hpp"
 
 namespace mn {
@@ -45,7 +39,6 @@ class MultiProcessTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(base_); }
 
   [[nodiscard]] std::string store_dir() const { return (base_ / "store").string(); }
-  [[nodiscard]] std::string sock() const { return (base_ / "mn.sock").string(); }
 
   /// Run `fn` in a forked child; returns the child's exit status.
   template <typename Fn>
@@ -132,65 +125,6 @@ TEST_F(MultiProcessTest, CompactIsBusyWhileAChildHoldsTheStore) {
   mine.compact();
   EXPECT_EQ(mine.lookup(key_of(1, 1)), "held");
   EXPECT_EQ(mine.lookup(key_of(2, 2)), "mine");
-}
-
-TEST_F(MultiProcessTest, SigkilledServerNeverFailsACampaign) {
-  std::vector<ClusterSpec> world{
-      make_cluster("FastWiFi", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("FastLTE", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.run_scale = 0.25;
-  opt.incomplete_probability = 0.2;
-  opt.fault_probability = 0.15;
-  opt.parallelism = 0;
-  const std::string golden =
-      to_csv(run_campaign(world, opt)).str();
-
-  // Server in a forked child process, SIGKILLed (not stopped) while the
-  // campaign talks to it.
-  const pid_t server_pid = fork();
-  if (server_pid == 0) {
-    store::remote::StoreServer server{{store_dir(), sock()}};
-    server.run();  // until SIGKILL
-    _exit(0);
-  }
-  for (int i = 0; i < 200 && !fs::exists(sock()); ++i) usleep(10 * 1000);
-  ASSERT_TRUE(fs::exists(sock())) << "server never bound its socket";
-
-  store::remote::RemoteStoreOptions ropt;
-  ropt.endpoint = sock();
-  ropt.max_attempts = 1;
-  ropt.initial_backoff = std::chrono::milliseconds{1};
-  store::remote::RemoteStore remote{std::move(ropt)};
-
-  // Warm a couple of entries so the kill happens on a live session.
-  const auto plans = plan_campaign(world, opt);
-  remote.put(scenario_key(plans[0], opt),
-             serialize_run_record(execute_run(plans[0], opt)));
-  ASSERT_TRUE(remote.ping());
-
-  kill(server_pid, SIGKILL);
-  int status = 0;
-  waitpid(server_pid, &status, 0);
-  ASSERT_TRUE(WIFSIGNALED(status));
-
-  opt.store = &remote;
-  for (int workers : {1, 4}) {
-    opt.parallelism = workers;
-    const auto runs = run_campaign(world, opt);
-    EXPECT_EQ(to_csv(runs).str(), golden) << "workers=" << workers;
-    std::size_t failed = 0;
-    for (const auto& r : runs) failed += r.failed ? 1 : 0;
-    EXPECT_EQ(failed, 0u);
-  }
-
-  // The SIGKILLed server's directory still verifies (its segment may be
-  // unsealed — that is the torn-tail-tolerant normal, not damage).
-  EXPECT_TRUE(store::verify_store(store_dir()).ok());
-  // And a successor server can serve it immediately (locks died with
-  // the process).
-  store::remote::StoreServer successor{{store_dir(), sock()}};
-  EXPECT_GE(successor.stats().entries, 1u);
 }
 
 }  // namespace

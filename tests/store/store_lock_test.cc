@@ -1,7 +1,7 @@
-// Directory locking: the fleet-tier concurrency discipline.  flock(2)
-// locks are per open-file-description, so two RunStores (or a RunStore
-// and a StoreServer) in ONE process behave exactly like two processes —
-// these tests exercise the real cross-process protocol in-process.
+// Directory locking: the cross-process concurrency discipline.  flock(2)
+// locks are per open-file-description, so two RunStores in ONE process
+// behave exactly like two processes — these tests exercise the real
+// cross-process protocol in-process.
 //
 // The regression under test: compact() used to rewrite the directory
 // from its own in-memory map and delete every file, silently dropping
