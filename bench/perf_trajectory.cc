@@ -33,6 +33,12 @@
 // heap fallbacks (allocs > 0) — the per-event path must stay
 // allocation-free regardless of machine speed.
 //
+// Provenance: every run record names the machine and build it came
+// from — nproc, the /proc/cpuinfo model, compiler, build type, the git
+// sha of the working directory ("+dirty" with uncommitted changes) and
+// MN_THREADS — so records from different hosts are never compared as if
+// they were one.
+//
 // The output file holds one run object per line so records append
 // across invocations (and across PRs) without a JSON library:
 //   {"benchmark": "multinet perf trajectory", "runs": [
@@ -47,6 +53,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -94,6 +101,59 @@ bool run_capture(const std::string& cmd, std::string& output) {
   std::size_t n = 0;
   while ((n = fread(chunk, 1, sizeof chunk, pipe)) > 0) output.append(chunk, n);
   return pclose(pipe) == 0;
+}
+
+/// `s` as a JSON string literal.
+std::string json_string(const std::string& s) {
+  std::string q = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') q += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) q += c;
+  }
+  q += '"';
+  return q;
+}
+
+/// The "model name" of the first CPU in /proc/cpuinfo.
+std::string cpu_model() {
+  std::istringstream in(read_file("/proc/cpuinfo"));
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos) return trim(line.substr(colon + 1));
+  }
+  return "unknown";
+}
+
+/// HEAD of the git checkout holding the working directory, with "+dirty"
+/// when tracked files differ from it.
+std::string git_sha() {
+  std::string sha;
+  if (!run_capture("git rev-parse HEAD", sha)) return "none (not a git checkout)";
+  std::string changes;
+  run_capture("git status --porcelain --untracked-files=no", changes);
+  return trim(sha) + (trim(changes).empty() ? "" : "+dirty");
+}
+
+/// The provenance fields of a run record (leading ", " included).
+std::string provenance() {
+#if defined(__clang__)
+  const std::string compiler = std::string{"Clang "} + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string{"GNU "} + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  const char* threads = std::getenv("MN_THREADS");
+  std::ostringstream out;
+  out << ", \"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": " << json_string(cpu_model())
+      << ", \"compiler\": " << json_string(compiler)
+      << ", \"build_type\": " << json_string(MN_BUILD_TYPE)
+      << ", \"git_sha\": " << json_string(git_sha())
+      << ", \"MN_THREADS\": " << json_string(threads != nullptr ? threads : "unset");
+  return out.str();
 }
 
 /// Parse google-benchmark console lines: "BM_Name/123  4567 ns  4560 ns  99".
@@ -269,8 +329,8 @@ int main(int argc, char** argv) {
   std::remove(tmp_json.c_str());
 
   std::ostringstream run;
-  run << "{\"label\": \"" << label << "\", \"variant\": \"" << variant
-      << "\", \"microbench\": " << micro << ", \"fig07\": " << fig07
+  run << "{\"label\": \"" << label << "\", \"variant\": \"" << variant << "\""
+      << provenance() << ", \"microbench\": " << micro << ", \"fig07\": " << fig07
       << ", \"chaos_soak\": " << chaos << ", \"energy_pareto\": " << pareto
       << ", \"table1_at_scale\": " << table1 << "}";
 

@@ -146,23 +146,42 @@ void Simulator::fire_sink_group(SinkId sink) {
   sinks_[sink](SinkSpan{group_.data(), group_.size()});
 }
 
+namespace {
 /// Smallest delta k in [0, words*64) with bit (from+k) mod size set, or
 /// SIZE_MAX when the bitmap is empty.
-std::size_t Simulator::scan(const std::uint64_t* bits, std::size_t words,
-                            std::size_t from) {
+std::size_t scan_words(const std::uint64_t* bits, std::size_t words, std::size_t from) {
   const std::size_t mask = words * 64 - 1;
   from &= mask;
   const std::size_t w0 = from >> 6;
   const std::uint64_t first = bits[w0] >> (from & 63);
   if (first != 0) return static_cast<std::size_t>(std::countr_zero(first));
   for (std::size_t i = 1; i <= words; ++i) {
-    const std::size_t w = (w0 + i) % words;
+    const std::size_t w = (w0 + i) & (words - 1);
     if (bits[w] != 0) {
       const std::size_t bit = static_cast<std::size_t>(std::countr_zero(bits[w]));
       return ((w << 6) + bit - from) & mask;
     }
   }
   return static_cast<std::size_t>(-1);
+}
+}  // namespace
+
+/// scan_words over `bits`, with the summary standing in for the walk
+/// past the cursor's word: the next nonzero word after it (the cursor's
+/// own word last, for buckets below the cursor) is the first set
+/// summary bit from the following word on.
+std::size_t Simulator::scan(const std::uint64_t* bits, const std::uint64_t* summary,
+                            std::size_t words, std::size_t from) {
+  const std::size_t mask = words * 64 - 1;
+  from &= mask;
+  const std::size_t w0 = from >> 6;
+  const std::uint64_t first = bits[w0] >> (from & 63);
+  if (first != 0) return static_cast<std::size_t>(std::countr_zero(first));
+  const std::size_t dw = scan_words(summary, words / 64, w0 + 1);
+  if (dw == static_cast<std::size_t>(-1)) return dw;
+  const std::size_t w = (w0 + 1 + dw) & (words - 1);
+  const std::size_t bit = static_cast<std::size_t>(std::countr_zero(bits[w]));
+  return ((w << 6) + bit - from) & mask;
 }
 
 /// Re-file every live event of L1 bucket `b` into L0.  Caller has
@@ -171,7 +190,7 @@ std::size_t Simulator::scan(const std::uint64_t* bits, std::size_t words,
 void Simulator::cascade(std::size_t b) {
   std::uint32_t slot = l1_head_[b];
   l1_head_[b] = kNil;
-  l1_bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  clear_bucket(l1_bits_.get(), l1_summary_, b);
   l1_cache_valid_ = false;  // the cached earliest bucket was consumed
   while (slot != kNil) {
     Meta& m = meta_ref(slot);
@@ -200,8 +219,8 @@ bool Simulator::refill_batch(std::int64_t limit_usec) {
     // counts let an empty level skip its bitmap scan entirely).
     std::int64_t t0 = -1;
     if (l0_count_ != 0) {
-      const std::size_t d0 =
-          scan(l0_bits_.get(), kL0Words, static_cast<std::size_t>(cursor_) & kL0Mask);
+      const std::size_t d0 = scan(l0_bits_.get(), l0_summary_, kL0Words,
+                                  static_cast<std::size_t>(cursor_) & kL0Mask);
       if (d0 != static_cast<std::size_t>(-1)) t0 = cursor_ + static_cast<std::int64_t>(d0);
     }
 
@@ -213,8 +232,8 @@ bool Simulator::refill_batch(std::int64_t limit_usec) {
     if (l1_count_ != 0) {
       if (!l1_cache_valid_) {
         const std::int64_t base1 = cursor_ >> kL1Shift;
-        const std::size_t d1 =
-            scan(l1_bits_.get(), kL1Words, static_cast<std::size_t>(base1) & kL1Mask);
+        const std::size_t d1 = scan(l1_bits_.get(), l1_summary_, kL1Words,
+                                    static_cast<std::size_t>(base1) & kL1Mask);
         assert(d1 != static_cast<std::size_t>(-1));
         l1_cache_bucket_ = static_cast<std::size_t>(base1 + static_cast<std::int64_t>(d1)) & kL1Mask;
         l1_cache_start_ = (base1 + static_cast<std::int64_t>(d1)) << kL1Shift;
@@ -261,7 +280,7 @@ bool Simulator::refill_batch(std::int64_t limit_usec) {
     const std::size_t b0 = static_cast<std::size_t>(t0) & kL0Mask;
     std::uint32_t slot = l0_head_[b0];
     l0_head_[b0] = kNil;
-    l0_bits_[b0 >> 6] &= ~(std::uint64_t{1} << (b0 & 63));
+    clear_bucket(l0_bits_.get(), l0_summary_, b0);
     while (slot != kNil) {
       Meta& m = meta_ref(slot);
       const std::uint32_t next = m.next;
@@ -299,11 +318,21 @@ bool Simulator::bookkeeping_consistent() const {
     }
     return n;
   };
+  // Summary bit w is set exactly while bitmap word w is nonzero.
+  const auto summary_exact = [](const std::uint64_t* bits, const std::uint64_t* summary,
+                                std::size_t words) {
+    for (std::size_t w = 0; w < words; ++w) {
+      if (((summary[w >> 6] >> (w & 63)) & 1) != (bits[w] != 0 ? 1u : 0u)) return false;
+    }
+    return true;
+  };
   const std::size_t in_l0 = count_level(l0_head_.get(), l0_bits_.get(), kL0Words);
   const std::size_t in_l1 = count_level(l1_head_.get(), l1_bits_.get(), kL1Words);
   queued += in_l0 + in_l1;
   return in_l0 == l0_count_ && in_l1 == l1_count_ && queued == live_ + stale_ &&
-         slot_count_ == live_ + stale_ + free_.size() + in_flight_;
+         slot_count_ == live_ + stale_ + free_.size() + in_flight_ &&
+         summary_exact(l0_bits_.get(), l0_summary_, kL0Words) &&
+         summary_exact(l1_bits_.get(), l1_summary_, kL1Words);
 }
 
 void Timer::restart(Duration delay) {

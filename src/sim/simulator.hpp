@@ -32,8 +32,14 @@
 // buckets of 4096 us (~16.8 s horizon), and events beyond that sit
 // in a small overflow min-heap.  Buckets are intrusive singly-linked
 // lists threaded through the Meta slab (a push is: write meta.next,
-// write bucket head, set a bitmap bit), so schedule and fire are O(1)
-// — no O(log n) comparison heap on the per-event path.  Head arrays
+// write bucket head, set a bitmap bit — and its word's summary bit if
+// the word was empty), so schedule and fire are O(1) — no O(log n)
+// comparison heap on the per-event path.  Each level's occupancy
+// bitmap has a summary with one bit per bitmap word, set exactly while
+// that word is nonzero: four words over L0's 256, one over L1's 64.
+// Finding the next occupied bucket reads the cursor's word, then the
+// summary, then the one word it points to — about three words instead
+// of a walk over up to 256.  Head arrays
 // are deliberately left uninitialised: a head is only read when its
 // occupancy bit is set, which keeps constructing a Simulator O(bitmap)
 // cheap.  Level-1 buckets cascade into level 0 as the cursor reaches
@@ -377,20 +383,29 @@ class Simulator {
   // Heads are uninitialised storage: a head is read only when its
   // occupancy bit says a list is there, so an empty bucket's head may
   // hold garbage safely.
-  void push_bucket(std::uint32_t* heads, std::uint64_t* bitmap, std::size_t bucket,
-                   std::uint32_t slot) {
+  void push_bucket(std::uint32_t* heads, std::uint64_t* bitmap, std::uint64_t* summary,
+                   std::size_t bucket, std::uint32_t slot) {
     std::uint64_t& word = bitmap[bucket >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (bucket & 63);
     meta_ref(slot).next = (word & bit) != 0 ? heads[bucket] : kNil;
     heads[bucket] = slot;
+    if (word == 0) summary[bucket >> 12] |= std::uint64_t{1} << ((bucket >> 6) & 63);
     word |= bit;
   }
+  /// Clear a bucket's occupancy bit, and its word's summary bit when
+  /// the word empties.
+  static void clear_bucket(std::uint64_t* bitmap, std::uint64_t* summary,
+                           std::size_t bucket) {
+    std::uint64_t& word = bitmap[bucket >> 6];
+    word &= ~(std::uint64_t{1} << (bucket & 63));
+    if (word == 0) summary[bucket >> 12] &= ~(std::uint64_t{1} << ((bucket >> 6) & 63));
+  }
   void push_l0(std::size_t bucket, std::uint32_t slot) {
-    push_bucket(l0_head_.get(), l0_bits_.get(), bucket, slot);
+    push_bucket(l0_head_.get(), l0_bits_.get(), l0_summary_, bucket, slot);
     ++l0_count_;
   }
   void push_l1(std::size_t bucket, std::uint32_t slot, std::int64_t at_usec) {
-    push_bucket(l1_head_.get(), l1_bits_.get(), bucket, slot);
+    push_bucket(l1_head_.get(), l1_bits_.get(), l1_summary_, bucket, slot);
     ++l1_count_;
     // A bucket earlier than the cached next-occupied candidate
     // invalidates the cache (refill would otherwise miss it).
@@ -470,8 +485,8 @@ class Simulator {
   // Cold-path machinery in the .cc:
   bool refill_batch(std::int64_t limit_usec);   // collect next tick's batch
   void cascade(std::size_t l1_bucket);          // re-file an L1 bucket into L0
-  static std::size_t scan(const std::uint64_t* bitmap, std::size_t words,
-                          std::size_t from);
+  static std::size_t scan(const std::uint64_t* bitmap, const std::uint64_t* summary,
+                          std::size_t words, std::size_t from);
 
   TimePoint now_{0};
   obs::ObsHub* obs_ = nullptr;  // optional, not owned; null = no instrumentation
@@ -489,6 +504,8 @@ class Simulator {
   std::unique_ptr<std::uint32_t[]> l1_head_;
   std::unique_ptr<std::uint64_t[]> l0_bits_;  // occupancy bitmaps (1 bit/bucket)
   std::unique_ptr<std::uint64_t[]> l1_bits_;
+  std::uint64_t l0_summary_[kL0Words / 64] = {};  // bit w: l0_bits_[w] != 0
+  std::uint64_t l1_summary_[kL1Words / 64] = {};
   std::size_t l0_count_ = 0;             // entries (live + stale) per level:
   std::size_t l1_count_ = 0;             // lets refill skip empty-level scans
   bool l1_cache_valid_ = false;          // cached earliest-occupied L1 bucket

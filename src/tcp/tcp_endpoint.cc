@@ -132,6 +132,19 @@ void TcpEndpoint::send_segment(const Segment& seg, bool is_rexmit) {
   transmit(std::move(p));
 }
 
+void TcpEndpoint::resend(std::size_t i) {
+  Segment& seg = outstanding_[i];
+  // A second resend within one tick leaves the queued entry current.
+  const bool queued = seg.retransmitted && seg.last_sent == sim_.now();
+  seg.retransmitted = true;
+  seg.last_sent = sim_.now();
+  if (!queued) {
+    resent_.push_back({acked_segs_ + i, seg.last_sent});
+    bound_resend_queues();
+  }
+  send_segment(seg, /*is_rexmit=*/true);
+}
+
 void TcpEndpoint::send_bytes(std::int64_t bytes) {
   assert(source_ == nullptr && "buffer mode is exclusive with a DataSource");
   buffer_bytes_ += bytes;
@@ -160,24 +173,21 @@ bool TcpEndpoint::can_send_more() const {
 void TcpEndpoint::pump() {
   if (!established() || frozen_) return;
   while (window_space() > 0) {
-    // Retransmissions (RTO-marked losses) take priority over new data.
-    // The lost_ counter keeps the common no-loss iteration O(1); the
-    // scan only runs while marked losses actually exist.
+    // Retransmissions (marked losses) take priority over new data, lowest
+    // first.  The lost_ counter keeps the common no-loss iteration O(1),
+    // and the walk starts at lost_hint_: nothing below it is lost.
     if (lost_ > 0) {
-      Segment* lost = nullptr;
-      for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-        if (outstanding_[i].lost) {
-          lost = &outstanding_[i];
-          break;
-        }
+      std::size_t i = lost_hint_ > acked_segs_ ? index_of(lost_hint_) : 0;
+      while (!outstanding_[i].lost) {
+        ++i;
+        assert(i < outstanding_.size());
       }
-      assert(lost != nullptr);
-      lost->lost = false;
+      lost_hint_ = acked_segs_ + i + 1;
+      Segment& lost = outstanding_[i];
+      lost.lost = false;
       --lost_;
-      lost->retransmitted = true;
-      lost->last_sent = sim_.now();
-      flight_bytes_ += lost->len;
-      send_segment(*lost, /*is_rexmit=*/true);
+      flight_bytes_ += lost.len;
+      resend(i);
       continue;
     }
     const std::int64_t space = window_space();
@@ -325,6 +335,7 @@ void TcpEndpoint::handle_packet(const Packet& p) {
   if (p.payload > 0) process_data(p);
   if (p.flags.fin) process_fin(p);
   maybe_finish_close();
+  assert(scoreboard_consistent());
 }
 
 std::int64_t TcpEndpoint::apply_sack(const Packet& p) {
@@ -332,7 +343,7 @@ std::int64_t TcpEndpoint::apply_sack(const Packet& p) {
   for (int i = 0; i < p.sack_count; ++i) {
     const auto [start, end] = p.sack[static_cast<std::size_t>(i)];
     highest_sacked_ = std::max(highest_sacked_, end);
-    for (std::size_t k = outstanding_.lower_bound(start); k < outstanding_.size(); ++k) {
+    for (std::size_t k = lower_bound(start); k < outstanding_.size(); ++k) {
       Segment& seg = outstanding_[k];
       if (seg.seq + seg.len > end) break;
       if (!seg.sacked) {
@@ -351,6 +362,50 @@ std::int64_t TcpEndpoint::apply_sack(const Packet& p) {
   return newly_sacked;
 }
 
+std::size_t TcpEndpoint::lower_bound(std::int64_t seq) const {
+  // Segments are full-MSS but for a flow's tail, so `seq` usually sits
+  // at slot (seq - front.seq) / MSS; seqs strictly increase, so a slot
+  // holding `seq` exactly is the bound.
+  if (!outstanding_.empty() && seq >= outstanding_[0].seq) {
+    const auto guess = static_cast<std::size_t>((seq - outstanding_[0].seq) / kMss);
+    if (guess < outstanding_.size() && outstanding_[guess].seq == seq) return guess;
+  }
+  std::size_t lo = 0, hi = outstanding_.size();
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (outstanding_[mid].seq < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void TcpEndpoint::mark_lost(Segment& seg, std::uint64_t ord) {
+  seg.lost = true;
+  ++lost_;
+  flight_bytes_ -= seg.len;
+  lost_hint_ = std::min(lost_hint_, ord);
+}
+
+bool TcpEndpoint::stale(const Resend& r) const {
+  if (r.ord < acked_segs_) return true;  // cumulatively acked
+  const Segment& seg = outstanding_[index_of(r.ord)];
+  // SACKed or lost, or resent again since (a newer entry is current).
+  return seg.sacked || seg.lost || seg.last_sent != r.sent;
+}
+
+void TcpEndpoint::bound_resend_queues() {
+  // Each live segment has at most one current entry, so past twice the
+  // outstanding count most entries are stale: a sweep then removes at
+  // least half of what it visits, which keeps it amortized O(1).
+  if (resend_queues_bounded()) return;
+  const auto is_stale = [this](const Resend& r) { return stale(r); };
+  resent_.erase_if(is_stale);
+  std::erase_if(parked_, is_stale);
+}
+
 void TcpEndpoint::infer_losses() {
   // SACK-based loss inference (FACK-style): a segment more than 3 MSS
   // below the highest SACKed byte that is neither SACKed nor already
@@ -366,21 +421,63 @@ void TcpEndpoint::infer_losses() {
   // genuine drop.
   const Duration reorder_window =
       Duration{std::max<std::int64_t>(srtt_.usec() / 4, msec(2).usec())};
+  // Segments ending at or below the FACK line may be marked.
+  const std::int64_t fack_line = highest_sacked_ - 3 * kMss;
   bool any = false;
-  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-    Segment& seg = outstanding_[i];
-    if (seg.seq + seg.len + 3 * kMss > highest_sacked_) break;
-    if (seg.sacked || seg.lost) continue;
-    if (seg.retransmitted) {
-      if (sim_.now() - seg.last_sent < rexmit_window) continue;
-    } else {
-      if (newest_sacked_xmit_ - seg.last_sent < reorder_window) continue;
+
+  // Never-resent segments keep their first send time, so along send
+  // order both seq and last_sent rise and the ones to mark form a
+  // prefix.  The cursor passes each segment once: a segment that is not
+  // live and never-resent when passed never becomes so again.
+  fresh_ord_ = std::max(fresh_ord_, acked_segs_);
+  for (; index_of(fresh_ord_) < outstanding_.size(); ++fresh_ord_) {
+    Segment& seg = outstanding_[index_of(fresh_ord_)];
+    if (seg.sacked || seg.lost || seg.retransmitted) continue;
+    if (seg.seq + seg.len > fack_line ||
+        newest_sacked_xmit_ - seg.last_sent < reorder_window) {
+      break;
     }
-    seg.lost = true;
-    ++lost_;
-    flight_bytes_ -= seg.len;
+    mark_lost(seg, fresh_ord_);
     any = true;
   }
+
+  // Resent segments queue in resend order, so last_sent rises along
+  // resent_ and the ones old enough to re-mark form a prefix.  An aged
+  // entry still above the FACK line moves to parked_, which is walked
+  // again only once the line passes its lowest segment end.
+  const TimePoint aged = sim_.now() - rexmit_window;  // last_sent at or before
+  while (!resent_.empty() && resent_.front().sent <= aged) {
+    const Resend r = resent_.front();
+    resent_.pop_front();
+    if (stale(r)) continue;
+    Segment& seg = outstanding_[index_of(r.ord)];
+    if (seg.seq + seg.len <= fack_line) {
+      mark_lost(seg, r.ord);
+      any = true;
+    } else {
+      parked_.push_back(r);
+      parked_min_end_ = std::min(parked_min_end_, seg.seq + seg.len);
+    }
+  }
+  if (parked_min_end_ <= fack_line) {
+    // The window follows srtt and may have grown since an entry was
+    // parked, so its age is checked again.
+    std::int64_t min_end = kNoEnd;
+    std::erase_if(parked_, [&](const Resend& r) {
+      if (stale(r)) return true;
+      Segment& seg = outstanding_[index_of(r.ord)];
+      if (seg.seq + seg.len <= fack_line && seg.last_sent <= aged) {
+        mark_lost(seg, r.ord);
+        any = true;
+        return true;
+      }
+      min_end = std::min(min_end, seg.seq + seg.len);
+      return false;
+    });
+    parked_min_end_ = min_end;
+  }
+  // Marking order is immaterial: lost_ and flight_bytes_ are sums, and
+  // recovery is entered after every mark.
   if (any && !in_recovery_) enter_recovery();
 }
 
@@ -413,7 +510,9 @@ void TcpEndpoint::process_ack(const Packet& p) {
       }
       newly_data += seg.len;
       outstanding_.pop_front();
+      ++acked_segs_;
     }
+    bound_resend_queues();
     snd_una_ = p.ack_seq;
     if (fin_sent_ && p.ack_seq >= fin_seq_ + 1) fin_acked_ = true;
     if (rtt_sample.usec() > 0) update_rtt(rtt_sample);
@@ -435,12 +534,8 @@ void TcpEndpoint::process_ack(const Packet& p) {
       } else if (!outstanding_.empty() && highest_sacked_ <= snd_una_) {
         // No SACK information (tail case): NewReno partial ACK —
         // retransmit the next missing segment.
-        Segment& seg = outstanding_.front();
-        if (!seg.lost && !seg.sacked) {
-          seg.retransmitted = true;
-          seg.last_sent = sim_.now();
-          send_segment(seg, /*is_rexmit=*/true);
-        }
+        const Segment& seg = outstanding_.front();
+        if (!seg.lost && !seg.sacked) resend(0);
       }
     } else if (newly_data > 0) {
       cc_->on_ack(newly_data, rtt_sample);
@@ -634,15 +729,14 @@ void TcpEndpoint::on_probe_fire() {
   // segment to elicit a SACK and trigger normal fast recovery.
   if (frozen_ || state_ != TcpState::kEstablished) return;
   for (std::size_t i = outstanding_.size(); i-- > 0;) {
-    Segment& seg = outstanding_[i];
+    const Segment& seg = outstanding_[i];
     if (seg.sacked || seg.lost) continue;
-    seg.retransmitted = true;
-    seg.last_sent = sim_.now();
     ++probe_events_;
-    send_segment(seg, /*is_rexmit=*/true);
+    resend(i);
     break;
   }
   // One probe per silence period; the RTO remains the backstop.
+  assert(scoreboard_consistent());
 }
 
 void TcpEndpoint::on_rto_fire() {
@@ -689,14 +783,19 @@ void TcpEndpoint::on_rto_fire() {
       flight_bytes_ -= seg.len;
     }
   }
+  // Every segment is now lost or SACKed: no resend entry is current and
+  // no segment is fresh.
+  resent_.clear();
+  parked_.clear();
+  parked_min_end_ = kNoEnd;
+  fresh_ord_ = acked_segs_ + outstanding_.size();
+  lost_hint_ = acked_segs_;
   if (!outstanding_.empty()) {
     Segment& seg = outstanding_.front();
     if (seg.lost) --lost_;
     seg.lost = false;
-    seg.retransmitted = true;
-    seg.last_sent = sim_.now();
     flight_bytes_ += seg.len;
-    send_segment(seg, /*is_rexmit=*/true);
+    resend(0);
   } else if (fin_sent_ && !fin_acked_) {
     Packet p = make_packet();
     p.flags.fin = true;
@@ -706,6 +805,41 @@ void TcpEndpoint::on_rto_fire() {
     transmit(std::move(p));
   }
   arm_rto();
+  assert(scoreboard_consistent());
+}
+
+bool TcpEndpoint::scoreboard_consistent() const {
+  // Current resend entries per segment; each must name a resent segment.
+  std::vector<int> current(outstanding_.size(), 0);
+  bool entries_ok = true;
+  const auto tally = [&](const Resend& r) {
+    if (stale(r)) return;
+    const Segment& seg = outstanding_[index_of(r.ord)];
+    entries_ok = entries_ok && seg.retransmitted;
+    ++current[index_of(r.ord)];
+  };
+  for (std::size_t i = 0; i < resent_.size(); ++i) tally(resent_[i]);
+  for (const Resend& r : parked_) {
+    tally(r);
+    if (!stale(r)) {
+      const Segment& seg = outstanding_[index_of(r.ord)];
+      entries_ok = entries_ok && seg.seq + seg.len >= parked_min_end_;
+    }
+  }
+  std::size_t lost = 0;
+  std::int64_t flight = 0;
+  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+    const Segment& seg = outstanding_[i];
+    const std::uint64_t ord = acked_segs_ + i;
+    if (seg.lost) {
+      ++lost;
+      if (ord < lost_hint_) return false;
+    }
+    if (seg.sacked || seg.lost) continue;
+    flight += seg.len;
+    if (seg.retransmitted ? current[i] != 1 : ord < fresh_ord_) return false;
+  }
+  return entries_ok && lost == lost_ && flight == flight_bytes_ && resend_queues_bounded();
 }
 
 void TcpEndpoint::note_cwnd() {

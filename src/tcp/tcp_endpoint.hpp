@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -170,7 +171,21 @@ class TcpEndpoint {
   /// middlebox signature, as opposed to in-flight stripping).
   [[nodiscard]] bool syn_option_suppressed() const { return syn_option_suppressed_; }
 
+  /// Audit hook: the loss-recovery scoreboard reconciles with the
+  /// retransmission queue —
+  ///   lost count      == segments marked lost
+  ///   flight bytes    == bytes of segments neither SACKed nor lost
+  ///   every live never-resent segment lies at or above the fresh cursor
+  ///   every live resent segment has exactly one current resend entry
+  ///   the lost hint   <= the lowest lost ordinal
+  ///   resend entries  <= 2 x outstanding segments + a constant.
+  /// Walks the whole queue, so test/audit use only; debug builds assert
+  /// it after every packet and timer.
+  [[nodiscard]] bool scoreboard_consistent() const;
+
  private:
+  static constexpr std::int64_t kNoEnd = std::numeric_limits<std::int64_t>::max();
+
   struct Segment {
     std::int64_t seq = 0;  // subflow-level sequence of the first byte
     std::int64_t len = 0;
@@ -182,58 +197,60 @@ class TcpEndpoint {
     bool sacked = false;  // receiver holds it; not counted in flight
   };
 
-  /// The retransmission queue as a flat ring.  Segments enter strictly
-  /// in seq order (snd_nxt_ is monotonic) and leave only from the front
-  /// (cumulative ACK), so the container is a FIFO of sorted records:
-  /// no per-segment heap node, front pops are O(1), and SACK lookups
-  /// binary-search the ring.  Capacity persists across windows — after
-  /// warmup the steady state allocates nothing.
-  class SegRing {
+  /// A FIFO over a flat power-of-two ring: no per-element heap node,
+  /// O(1) pops from the front, and a capacity that persists, so after
+  /// warmup the steady state allocates nothing.  The retransmission
+  /// queue is one: segments enter strictly in seq order (snd_nxt_ is
+  /// monotonic) and leave only from the front (cumulative ACK).
+  template <class T>
+  class Ring {
    public:
     [[nodiscard]] bool empty() const { return size_ == 0; }
     [[nodiscard]] std::size_t size() const { return size_; }
-    [[nodiscard]] Segment& operator[](std::size_t i) {
+    [[nodiscard]] T& operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
+    [[nodiscard]] const T& operator[](std::size_t i) const {
       return buf_[(head_ + i) & mask_];
     }
-    [[nodiscard]] const Segment& operator[](std::size_t i) const {
-      return buf_[(head_ + i) & mask_];
-    }
-    [[nodiscard]] Segment& front() { return (*this)[0]; }
-    void push_back(const Segment& s) {
+    [[nodiscard]] T& front() { return (*this)[0]; }
+    void push_back(const T& v) {
       if (size_ == buf_.size()) grow();
-      buf_[(head_ + size_) & mask_] = s;
+      buf_[(head_ + size_) & mask_] = v;
       ++size_;
     }
     void pop_front() {
       head_ = (head_ + 1) & mask_;
       --size_;
     }
-    /// First index i with (*this)[i].seq >= seq (seqs strictly increase).
-    [[nodiscard]] std::size_t lower_bound(std::int64_t seq) const {
-      std::size_t lo = 0, hi = size_;
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if ((*this)[mid].seq < seq) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
+    void clear() { size_ = 0; }
+    /// Drop every element `dead` selects, keeping the rest in order.
+    template <class Pred>
+    void erase_if(Pred dead) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < size_; ++i) {
+        if (!dead((*this)[i])) (*this)[kept++] = (*this)[i];
       }
-      return lo;
+      size_ = kept;
     }
 
    private:
     void grow() {
-      std::vector<Segment> next(buf_.empty() ? 64 : buf_.size() * 2);
+      std::vector<T> next(buf_.empty() ? 64 : buf_.size() * 2);
       for (std::size_t i = 0; i < size_; ++i) next[i] = (*this)[i];
       buf_ = std::move(next);
       head_ = 0;
       mask_ = buf_.size() - 1;
     }
-    std::vector<Segment> buf_;  // power-of-two capacity
+    std::vector<T> buf_;  // power-of-two capacity
     std::size_t head_ = 0;
     std::size_t size_ = 0;
     std::size_t mask_ = 0;
+  };
+
+  /// A resent segment awaiting RACK-style re-marking: its send ordinal
+  /// and the send time of that resend.
+  struct Resend {
+    std::uint64_t ord = 0;
+    TimePoint sent{};
   };
 
   // -- send helpers --
@@ -244,12 +261,23 @@ class TcpEndpoint {
   void send_syn_ack();
   void send_pure_ack();
   void send_segment(const Segment& seg, bool is_rexmit);
+  void resend(std::size_t i);  // outstanding_[i], queued for re-marking
   void maybe_send_fin();
   void trigger_send();
 
   // -- receive helpers --
   std::int64_t apply_sack(const Packet& p);  // returns newly-SACKed bytes
+  [[nodiscard]] std::size_t lower_bound(std::int64_t seq) const;  // into outstanding_
   void infer_losses();
+  void mark_lost(Segment& seg, std::uint64_t ord);
+  [[nodiscard]] std::size_t index_of(std::uint64_t ord) const {
+    return static_cast<std::size_t>(ord - acked_segs_);
+  }
+  [[nodiscard]] bool stale(const Resend& r) const;
+  [[nodiscard]] bool resend_queues_bounded() const {
+    return resent_.size() + parked_.size() <= 2 * outstanding_.size() + 16;
+  }
+  void bound_resend_queues();
   void enter_recovery();
   void process_ack(const Packet& p);
   void process_data(const Packet& p);
@@ -292,7 +320,7 @@ class TcpEndpoint {
   std::int64_t snd_una_ = 0;
   std::int64_t snd_nxt_ = 0;
   std::int64_t buffer_bytes_ = 0;  // buffer mode backlog
-  SegRing outstanding_;
+  Ring<Segment> outstanding_;
   std::size_t lost_ = 0;  // segments with .lost set (skips pump's scan)
   std::int64_t flight_bytes_ = 0;
   std::int64_t max_acked_data_ = 0;  // cumulative data bytes acked
@@ -307,6 +335,16 @@ class TcpEndpoint {
   std::int64_t recover_ = 0;
   std::int64_t highest_sacked_ = 0;
   TimePoint newest_sacked_xmit_{};  // RACK: send time of newest delivered seg
+
+  // Incremental scoreboard (infer_losses has the argument).  A segment's
+  // send ordinal is acked_segs_ + its index in outstanding_, stable while
+  // it is outstanding.  A segment is live while neither SACKed nor lost.
+  std::uint64_t acked_segs_ = 0;  // segments cumulatively acked so far
+  std::uint64_t fresh_ord_ = 0;   // no live never-resent segment lies below
+  Ring<Resend> resent_;           // resends in resend order: .sent rises
+  std::vector<Resend> parked_;    // aged resends still above the FACK line
+  std::int64_t parked_min_end_ = kNoEnd;  // lowest seq end in parked_
+  std::uint64_t lost_hint_ = 0;   // no lost segment lies below
 
   // Receiver state.  The out-of-order store is a start-sorted flat
   // vector (start -> end, exclusive): loss windows hold a handful of

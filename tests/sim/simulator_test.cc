@@ -242,6 +242,49 @@ TEST(Simulator, L1HorizonBoundaryFromMidBucketCursor) {
   EXPECT_EQ(sim.now().usec(), beyond_at);
 }
 
+// The next-event scan reads the cursor's bitmap word, then the level's
+// summary (one bit per word) from the following word on, wrapping.
+// (Constants mirror the engine: L0 is 16384 one-microsecond buckets, 64
+// per bitmap word, 64 words per summary word.)
+TEST(Simulator, L0ScanWrapsIntoAnEarlierSummaryWord) {
+  constexpr std::int64_t kL0 = 16384;
+  Simulator sim;
+  // Cursor at bucket 16000: bitmap word 250, in the last summary word.
+  sim.schedule_at(TimePoint{16000}, [] {});
+  sim.run_until_idle();
+  ASSERT_EQ(sim.now().usec(), 16000);
+
+  std::vector<std::int64_t> fired;
+  auto record = [&] { fired.push_back(sim.now().usec()); };
+  // Across the wrap: buckets 100 (word 1) and 5000 (word 78), both in
+  // earlier summary words than the cursor's.
+  sim.schedule_at(TimePoint{kL0 + 5000}, record);
+  sim.schedule_at(TimePoint{kL0 + 100}, record);
+  EXPECT_TRUE(sim.bookkeeping_consistent());
+  sim.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{kL0 + 100, kL0 + 5000}));
+  EXPECT_TRUE(sim.bookkeeping_consistent());
+}
+
+TEST(Simulator, L0ScanFindsAFullRevolutionBelowTheCursorBit) {
+  Simulator sim;
+  // Cursor at bucket 1000: word 15, bit 40.
+  sim.schedule_at(TimePoint{1000}, [] {});
+  sim.run_until_idle();
+  ASSERT_EQ(sim.now().usec(), 1000);
+
+  std::vector<std::int64_t> fired;
+  auto record = [&] { fired.push_back(sim.now().usec()); };
+  // 16380 us ahead is still L0, in bucket 996: the cursor's own word,
+  // below the cursor bit, so the scan must go all the way round.
+  const std::int64_t ahead = 1000 + 16380;
+  sim.schedule_at(TimePoint{ahead}, record);
+  EXPECT_TRUE(sim.bookkeeping_consistent());
+  sim.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{ahead}));
+  EXPECT_TRUE(sim.bookkeeping_consistent());
+}
+
 // Property sweep: with random schedules and cancellations, firing order is
 // always non-decreasing in time and cancelled events never fire.
 class SimulatorFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
