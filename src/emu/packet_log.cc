@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/csv.hpp"
 
 namespace mn {
 
@@ -78,35 +81,47 @@ PacketLog PacketLog::deserialize(const std::string& text) {
   PacketLog log;
   std::istringstream in(text);
   std::string line;
+  auto bad_line = [&line](const std::string& why) {
+    return std::runtime_error("PacketLog: bad line \"" + line + "\": " + why);
+  };
+  // A "<prefix><integer in [lo, hi]>" field, e.g. "len=10".
+  auto field = [&](const std::string& token, const char* prefix,
+                   std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                   std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+    if (token.rfind(prefix, 0) != 0) throw bad_line(std::string("expected ") + prefix);
+    try {
+      return parse_int(token.substr(std::strlen(prefix)), lo, hi);
+    } catch (const std::runtime_error& e) {
+      throw bad_line(e.what());
+    }
+  };
   while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::istringstream ls(line);
     PacketLogEntry e;
-    std::int64_t usecs = 0;
-    char dir = 'S';
+    std::string usecs;
+    std::string dir;
     std::string sf;
     std::string flags;
     std::string seq;
     std::string ack;
     std::string len;
     if (!(ls >> usecs >> e.iface >> dir >> sf >> flags >> seq >> ack >> len)) {
-      throw std::runtime_error("PacketLog: bad line: " + line);
+      throw bad_line("expected 8 fields");
     }
-    e.t = TimePoint{usecs};
-    e.dir = dir == 'S' ? PacketDir::kSent : PacketDir::kReceived;
-    auto num_after = [&line](const std::string& field, const char* prefix) {
-      const auto pos = field.find(prefix);
-      if (pos != 0) throw std::runtime_error("PacketLog: bad field in: " + line);
-      return std::stoll(field.substr(std::strlen(prefix)));
-    };
-    e.subflow_id = static_cast<int>(num_after(sf, "sf="));
+    if (dir != "S" && dir != "R") throw bad_line("direction is not S or R");
+    e.t = TimePoint{field(usecs, "")};
+    e.dir = dir == "S" ? PacketDir::kSent : PacketDir::kReceived;
+    e.subflow_id = static_cast<int>(field(sf, "sf=", std::numeric_limits<int>::min(),
+                                          std::numeric_limits<int>::max()));
     e.flags.syn = flags.find("SYN") != std::string::npos;
     e.flags.ack = flags.find("ACK") != std::string::npos;
     e.flags.fin = flags.find("FIN") != std::string::npos;
     e.flags.rst = flags.find("RST") != std::string::npos;
-    e.seq = num_after(seq, "seq=");
-    e.ack = num_after(ack, "ack=");
-    e.payload = num_after(len, "len=");
+    e.seq = field(seq, "seq=");
+    e.ack = field(ack, "ack=");
+    e.payload = field(len, "len=", 0);
     log.entries_.push_back(std::move(e));
   }
   return log;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/csv.hpp"
 
 namespace mn {
 namespace {
@@ -85,6 +88,14 @@ RecordStore RecordStore::deserialize(const std::string& text) {
     }
     return HttpHeader{rest.substr(0, colon), rest.substr(colon + 2)};
   };
+  auto number = [&line](const std::string& rest, std::int64_t lo,
+                        std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+    try {
+      return parse_int(rest, lo, hi);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("RecordStore: bad line \"" + line + "\": " + e.what());
+    }
+  };
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
@@ -102,13 +113,14 @@ RecordStore RecordStore::deserialize(const std::string& text) {
     } else if (tag == "REQHDR") {
       cur->request.headers.push_back(parse_header(rest));
     } else if (tag == "REQBODY") {
-      cur->request.body_bytes = std::stoll(rest);
+      cur->request.body_bytes = number(rest, 0);
     } else if (tag == "STATUS") {
-      cur->response.status = std::stoi(rest);
+      cur->response.status = static_cast<int>(
+          number(rest, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
     } else if (tag == "RESPHDR") {
       cur->response.headers.push_back(parse_header(rest));
     } else if (tag == "RESPBODY") {
-      cur->response.body_bytes = std::stoll(rest);
+      cur->response.body_bytes = number(rest, 0);
     } else if (tag == "END") {
       store.add(std::move(*cur));
       cur.reset();

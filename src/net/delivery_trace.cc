@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "net/packet.hpp"
+#include "util/csv.hpp"
 
 namespace mn {
 
@@ -90,16 +92,16 @@ DeliveryTrace DeliveryTrace::from_mahimahi(const std::string& text) {
   std::string line;
   std::int64_t last_ms = 0;
   while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    std::size_t pos = 0;
     std::int64_t ms = 0;
     try {
-      ms = std::stoll(line, &pos);
-    } catch (const std::exception&) {
-      throw std::runtime_error("mahimahi trace: bad line: " + line);
-    }
-    if (pos != line.size() && line[pos] != '\r') {
-      throw std::runtime_error("mahimahi trace: trailing junk: " + line);
+      // The whole line is the token, so the error quotes the line.  msec()
+      // scales to microseconds and a cursor looks up to two periods past
+      // the current time, so ms may span a quarter of the int64 range.
+      ms = parse_int(line, 0, std::numeric_limits<std::int64_t>::max() / 4000);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(std::string("mahimahi trace: ") + e.what());
     }
     if (ms < last_ms) throw std::runtime_error("mahimahi trace: timestamps not sorted");
     last_ms = ms;

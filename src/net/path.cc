@@ -94,8 +94,6 @@ void OneWayPipe::set_receiver_batch(PacketBatchHandler h) {
   delay_->set_next_batch(std::move(h));
 }
 
-const StageCounters& OneWayPipe::link_counters() const { return link_->counters(); }
-
 bool OneWayPipe::set_rate_mbps(double mbps) {
   if (!rate_link_) return false;
   rate_link_->set_rate(mbps);

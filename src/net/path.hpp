@@ -69,8 +69,6 @@ class OneWayPipe {
   /// over set_receiver; pass {} to fall back to per-packet delivery.
   void set_receiver_batch(PacketBatchHandler h);
 
-  [[nodiscard]] const StageCounters& link_counters() const;
-
   // ---- fault hooks ----------------------------------------------------
   /// Silent blackhole: packets entering the pipe vanish without error.
   /// Packets already inside the pipeline still deliver (as on a real

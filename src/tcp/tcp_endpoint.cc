@@ -166,10 +166,6 @@ std::int64_t TcpEndpoint::window_space() const {
   return std::max<std::int64_t>(0, cc_->cwnd_bytes() - flight_bytes_);
 }
 
-bool TcpEndpoint::can_send_more() const {
-  return established() && !frozen_ && window_space() > 0;
-}
-
 void TcpEndpoint::pump() {
   if (!established() || frozen_) return;
   while (window_space() > 0) {

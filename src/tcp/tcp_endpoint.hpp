@@ -152,7 +152,6 @@ class TcpEndpoint {
   [[nodiscard]] std::int64_t bytes_delivered() const { return delivered_data_; }
   [[nodiscard]] std::int64_t flight_bytes() const { return flight_bytes_; }
   [[nodiscard]] const CongestionController& cc() const { return *cc_; }
-  [[nodiscard]] bool can_send_more() const;
   [[nodiscard]] std::int64_t window_space() const;
   [[nodiscard]] TimePoint established_at() const { return established_at_; }
   [[nodiscard]] const std::vector<TimelinePoint>& acked_timeline() const {

@@ -102,6 +102,21 @@ double parse_double(const std::string& cell) {
   return v;
 }
 
+std::int64_t parse_int(const std::string& token, std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* first = token.data();
+  const char* last = first + token.size();
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  // from_chars stops at the first non-digit: a short parse means junk.
+  if (ptr != last || token.empty()) {
+    throw std::runtime_error("not an integer: \"" + token + "\"");
+  }
+  if (ec != std::errc{} || v < lo || v > hi) {
+    throw std::runtime_error("integer out of range: \"" + token + "\"");
+  }
+  return v;
+}
+
 CsvData load_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open for read: " + path);

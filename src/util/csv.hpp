@@ -3,6 +3,8 @@
 // and simple-string cells, comma-separated, first row is the header.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,5 +49,13 @@ struct CsvData {
 /// junk, and trailing junk ("1.2x" is an error, not 1.2).  Throws
 /// std::runtime_error naming the offending cell.
 [[nodiscard]] double parse_double(const std::string& cell);
+
+/// Strict integer parse of a whole token, the integer twin of
+/// parse_double: rejects empty tokens, leading junk, trailing junk
+/// ("10junk" is an error, not 10) and values outside [lo, hi].  Throws
+/// std::runtime_error naming the offending token.
+[[nodiscard]] std::int64_t parse_int(
+    const std::string& token, std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace mn

@@ -70,6 +70,26 @@ TEST(PacketLog, SerializeRoundTrip) {
 
 TEST(PacketLog, DeserializeRejectsGarbage) {
   EXPECT_THROW(PacketLog::deserialize("not a packet line\n"), std::exception);
+  // A bad direction, a malformed or negative length, or a subflow id that
+  // does not fit an int is a runtime_error that quotes the line.
+  for (const std::string line : {
+           "0 wifi X sf=0 - seq=0 ack=0 len=10",
+           "0 wifi R sf=0 - seq=0 ack=0 len=10junk",
+           "0 wifi R sf=0 - seq=0 ack=0 len=-5",
+           "0 wifi R sf=0 - seq=0 ack=0 len=abc",
+           "0 wifi R sf=4294967297 - seq=0 ack=0 len=10",
+       }) {
+    try {
+      (void)PacketLog::deserialize(line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  }
+  // CRLF line endings still parse.
+  const PacketLog crlf = PacketLog::deserialize("0 wifi R sf=0 - seq=0 ack=0 len=10\r\n");
+  ASSERT_EQ(crlf.size(), 1u);
+  EXPECT_EQ(crlf.entries()[0].payload, 10);
 }
 
 TEST(PacketLog, FileSaveLoad) {

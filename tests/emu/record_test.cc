@@ -89,6 +89,19 @@ TEST(RecordStore, DeserializeRejectsGarbage) {
   EXPECT_THROW(RecordStore::deserialize("WHAT is this\n"), std::runtime_error);
   EXPECT_THROW(RecordStore::deserialize("EXCHANGE\nMETHOD GET\n"), std::runtime_error);
   EXPECT_THROW(RecordStore::deserialize("METHOD GET\n"), std::runtime_error);
+  // A malformed or negative number is a runtime_error that quotes the line.
+  for (const std::string line : {"REQBODY 12kb", "RESPBODY -7", "REQBODY abc", "STATUS 2OO"}) {
+    try {
+      (void)RecordStore::deserialize("EXCHANGE\n" + line + "\nEND\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  }
+  // CRLF line endings still parse.
+  const RecordStore crlf = RecordStore::deserialize("EXCHANGE\r\nRESPBODY 5\r\nEND\r\n");
+  ASSERT_EQ(crlf.size(), 1u);
+  EXPECT_EQ(crlf.exchanges()[0].response.body_bytes, 5);
 }
 
 TEST(RecordStore, SaveLoadFile) {

@@ -52,6 +52,23 @@ TEST(DeliveryTrace, MahimahiRejectsBadInput) {
   EXPECT_THROW(DeliveryTrace::from_mahimahi("abc\n"), std::runtime_error);
   EXPECT_THROW(DeliveryTrace::from_mahimahi("5\n3\n"), std::runtime_error);
   EXPECT_THROW(DeliveryTrace::from_mahimahi("5 junk\n"), std::runtime_error);
+  // Timestamps past a quarter of the int64 microsecond range, whose cap
+  // is 2305843009213693 ms: INT64_MAX, the first ms whose microsecond
+  // value overflows, the last one that fits (a cursor looking one period
+  // ahead overflows), and the first past the cap.  The error quotes the
+  // line.
+  for (const std::string line :
+       {"9223372036854775807", "9223372036854776", "9223372036854775", "2305843009213694"}) {
+    try {
+      (void)DeliveryTrace::from_mahimahi("1\n" + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)DeliveryTrace::from_mahimahi("2305843009213693\n"));
+  // CRLF line endings still parse.
+  EXPECT_EQ(DeliveryTrace::from_mahimahi("1\r\n3\r\n").opportunities_per_period(), 2u);
 }
 
 TEST(DeliveryTrace, FileSaveLoadRoundTrip) {

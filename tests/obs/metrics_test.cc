@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -169,6 +170,39 @@ TEST(Metrics, PrometheusTextExposesAllKindsDeterministically) {
   EXPECT_NE(text.find("tcp_rtt_usec_count 3"), std::string::npos);
   // Deterministic byte-for-byte.
   EXPECT_EQ(text, reg.snapshot().prometheus_text());
+}
+
+/// 64-bit FNV-1a of a text record.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the log-linear layout (3 sub-bits) exactly, recorded before the
+// obs histogram and QuantileSketch share one type: bucket_of and
+// bucket_floor at every octave edge +-1 from 0 to 2^62, and the
+// Prometheus le labels of a histogram holding one observation per octave.
+TEST(Metrics, BucketLayoutGolden) {
+  std::string edges;
+  for (int k = 0; k <= 62; ++k) {
+    const std::int64_t edge = std::int64_t{1} << k;
+    for (const std::int64_t v : {edge - 1, edge, edge + 1}) {
+      const std::uint32_t b = MetricsRegistry::bucket_of(v);
+      edges += std::to_string(v) + " " + std::to_string(b) + " " +
+               std::to_string(MetricsRegistry::bucket_floor(b)) + "\n";
+    }
+  }
+  EXPECT_EQ(fnv1a(edges), 0x12885bc72ceba1c2ull) << edges;
+
+  MetricsRegistry reg;
+  const MetricId h = reg.histogram("layout");
+  for (int k = 0; k <= 62; ++k) reg.observe(h, std::int64_t{1} << k);
+  const std::string text = reg.snapshot().prometheus_text();
+  EXPECT_EQ(fnv1a(text), 0x73b49f7c85d8b350ull) << text;
 }
 
 }  // namespace

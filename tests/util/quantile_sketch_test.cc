@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -189,6 +191,67 @@ TEST(QuantileSketch, MemoryIsBoundedAndLazyForNegatives) {
   const std::size_t with_neg = s.memory_bytes();
   for (int i = 0; i < 100000; ++i) s.add(-static_cast<double>(i % 977) - 0.5);
   EXPECT_EQ(s.memory_bytes(), with_neg);
+}
+
+// Pins the exact layout (5 sub-bits, a zero bucket below 2^-32, a top
+// bucket that clamps at 2^40) through every observable, recorded before
+// the sketch and the obs histogram share one type.  Tiny draws span the
+// octaves 2^-34..2^-31, half of them below 2^-32; q0.2375, q0.2625 and
+// q0.2875 sit in the bands on either side of the zero-bucket edge.
+// Inputs are exact binary fractions (ldexp of Rng draws), so no libm
+// rounding enters.
+TEST(QuantileSketch, LayoutGolden) {
+  Rng rng(20141105);
+  QuantileSketch s;
+  for (int i = 0; i < 5000; ++i) {
+    const double mantissa = 1.0 + rng.uniform();  // [1, 2)
+    const double u = rng.uniform();
+    if (u < 0.2) {
+      s.add(-std::ldexp(mantissa, static_cast<int>(rng.uniform_int(-12, 24))));
+    } else if (u < 0.3) {
+      s.add(std::ldexp(mantissa, static_cast<int>(rng.uniform_int(-34, -31))));
+    } else if (u < 0.4) {
+      s.add(std::ldexp(mantissa, static_cast<int>(rng.uniform_int(40, 60))));
+    } else {
+      s.add(std::ldexp(mantissa, static_cast<int>(rng.uniform_int(-12, 24))));
+    }
+  }
+  std::string text = "count " + std::to_string(s.count()) + "\n";
+  const auto line = [&text](const char* name, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s %.17g\n", name, v);
+    text += buf;
+  };
+  line("min", s.min());
+  line("max", s.max());
+  line("mean", s.mean());
+  for (const double q : {0.001, 0.05, 0.1, 0.15, 0.2375, 0.2625, 0.2875, 0.35, 0.45, 0.5,
+                         0.55, 0.65, 0.75, 0.85, 0.95, 0.999}) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "q%g", q);
+    line(name, s.quantile(q));
+  }
+  EXPECT_EQ(text,
+            "count 5000\n"
+            "min -31807972.941994347\n"
+            "max 2.2569008192338552e+18\n"
+            "mean 112147397466.70558\n"
+            "q0.001 -27000832\n"
+            "q0.05 -27392\n"
+            "q0.1 -49.099999999999966\n"
+            "q0.15 -0.066552734374999978\n"
+            "q0.2375 0\n"
+            "q0.2625 4.2526153265498572e-10\n"
+            "q0.2875 8.2563929026946359e-10\n"
+            "q0.35 0.0037017822265624917\n"
+            "q0.45 0.29830729166666714\n"
+            "q0.5 1.953125\n"
+            "q0.55 19.908333333333378\n"
+            "q0.65 1483.1999999999971\n"
+            "q0.75 81152\n"
+            "q0.85 5640028.1599999908\n"
+            "q0.95 1091141046289.5657\n"
+            "q0.999 1099344216146.2714\n");
 }
 
 }  // namespace
