@@ -43,10 +43,8 @@ PolicyPoint sweep_policy(MpScheduler scheduler, std::int64_t bytes,
     const auto setup = location_setup(locs[li], /*seed=*/7 + li);
     MptcpSpec spec;
     spec.scheduler = scheduler;
-    FlowRunOptions options;
-    options.timeout = sec(120);
-    options.stall_limit = sec(60);
-    const auto r = run_mptcp_flow(sim, setup, spec, bytes, Direction::kDownload, options);
+    const auto r =
+        run_mptcp_flow(sim, setup, spec, bytes, Direction::kDownload, {sec(120), sec(60)});
     if (!r.completed) {
       ++p.timed_out;
       continue;

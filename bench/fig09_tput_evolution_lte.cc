@@ -25,7 +25,7 @@ std::vector<std::pair<double, double>> tput_curve(
 void run_case(const MpNetworkSetup& setup, PathId primary, const char* label) {
   Simulator sim;
   const auto r = run_mptcp_flow(sim, setup, MptcpSpec{primary, CcAlgo::kDecoupled},
-                                4'000'000, Direction::kDownload, sec(30));
+                                4'000'000, Direction::kDownload, {sec(30)});
   std::cout << "\n(" << label << ") primary = " << to_string(primary) << "\n";
   std::vector<Series> series;
   series.push_back({"MPTCP", tput_curve(r.timeline, 2.0, 0.05)});
@@ -67,7 +67,7 @@ int main() {
     Simulator sim;
     wifi_primary = timeline_throughput_at(
         run_mptcp_flow(sim, setup, MptcpSpec{PathId::kWifi, CcAlgo::kDecoupled},
-                       4'000'000, Direction::kDownload, sec(30))
+                       4'000'000, Direction::kDownload, {sec(30)})
             .timeline,
         sec(2));
   }
@@ -75,7 +75,7 @@ int main() {
     Simulator sim;
     lte_primary = timeline_throughput_at(
         run_mptcp_flow(sim, setup, MptcpSpec{PathId::kLte, CcAlgo::kDecoupled},
-                       4'000'000, Direction::kDownload, sec(30))
+                       4'000'000, Direction::kDownload, {sec(30)})
             .timeline,
         sec(2));
   }

@@ -24,7 +24,7 @@ std::vector<std::pair<double, double>> tput_curve(
 double run_case(const MpNetworkSetup& setup, PathId primary, const char* label) {
   Simulator sim;
   const auto r = run_mptcp_flow(sim, setup, MptcpSpec{primary, CcAlgo::kDecoupled},
-                                4'000'000, Direction::kDownload, sec(30));
+                                4'000'000, Direction::kDownload, {sec(30)});
   std::cout << "\n(" << label << ") primary = " << to_string(primary) << "\n";
   std::vector<Series> series;
   series.push_back({"MPTCP", tput_curve(r.timeline, 2.0, 0.05)});

@@ -37,30 +37,21 @@ Outcome run_measured(const MpNetworkSetup& net, const TransportConfig& cfg,
                     cfg.path == PathId::kWifi ? net.wifi_down : net.lte_down};
     EnergyMeter meter{cfg.path == PathId::kWifi ? wifi_power_params()
                                                 : lte_power_params()};
-    BulkFlowOptions flow_options;
-    flow_options.timeout = sec(120);
-    flow_options.stall_limit = sec(120);
-    flow_options.client_tap = [&meter](TimePoint t, PacketDir, const Packet&) {
-      meter.add_activity(t);
-    };
-    const auto r = run_bulk_flow(sim, path, bytes, Direction::kDownload,
-                                 reno_factory(), flow_options);
+    const auto r = run_bulk_flow(sim, path, bytes, Direction::kDownload, {},
+                                 [&meter](TimePoint t, PacketDir, const Packet&) {
+                                   meter.add_activity(t);
+                                 });
     out.completed = r.completed;
-    out.seconds = r.completed ? r.completion_time.seconds()
-                              : flow_options.timeout.seconds();
+    out.seconds = r.completion_time.seconds();  // the 120 s timeout if incomplete
     out.joules = meter.radio_energy_joules(TimePoint{secs_f(out.seconds + 20.0).usec()});
     return out;
   }
   // MPTCP arm: completion and per-radio joules are first-class flow
   // results now — a timed-out run is flagged instead of silently
   // reporting sim.now() (the full timeout) as its completion time.
-  FlowRunOptions flow_options;
-  flow_options.timeout = sec(120);
-  flow_options.stall_limit = sec(120);
-  const MptcpFlowResult r =
-      run_mptcp_flow(sim, net, cfg.mp, bytes, Direction::kDownload, flow_options);
+  const MptcpFlowResult r = run_mptcp_flow(sim, net, cfg.mp, bytes, Direction::kDownload);
   out.completed = r.completed;
-  out.seconds = r.completed ? r.completion_time.seconds() : flow_options.timeout.seconds();
+  out.seconds = r.completion_time.seconds();
   out.joules = r.energy_wifi_j + r.energy_lte_j;
   return out;
 }

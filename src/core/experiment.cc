@@ -7,89 +7,49 @@ namespace mn {
 
 TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net,
                                        const TransportConfig& config, std::int64_t bytes,
-                                       Direction dir, const TransportRunOptions& options) {
-  TransportFlowResult out;
+                                       Direction dir, const FlowOptions& options,
+                                       const FaultPlan* faults) {
+  // Plan events addressed to a network the flow does not use are skipped
+  // by the injector.
   if (config.kind == TransportKind::kSinglePath) {
     const bool wifi = config.path == PathId::kWifi;
     DuplexPath path{sim, wifi ? net.wifi_up : net.lte_up,
                     wifi ? net.wifi_down : net.lte_down};
     FaultInjector injector{sim};
-    if (options.faults) {
-      // Plan events addressed to the other network are skipped by the
-      // injector (a single-path flow has only one target).
+    if (faults) {
       injector.set_target(config.path, &path);
-      injector.arm(*options.faults);
+      injector.arm(*faults);
     }
-    BulkFlowOptions flow_options;
-    flow_options.timeout = options.timeout;
-    flow_options.stall_limit = options.stall_limit;
-    const FlowResult r = run_bulk_flow(sim, path, bytes, dir, reno_factory(), flow_options);
-    out.completed = r.completed;
-    out.completion_time = r.completion_time;
-    out.throughput_mbps = r.throughput_mbps;
-    out.timeline = r.timeline;
-    out.stall_time = r.max_stall;
-    out.failure_reason = r.failure_reason;
+    TransportFlowResult out;
+    static_cast<FlowResult&>(out) = run_bulk_flow(sim, path, bytes, dir, options);
     return out;
   }
   FaultInjector injector{sim};
-  FlowRunOptions flow_options;
-  flow_options.timeout = options.timeout;
-  flow_options.stall_limit = options.stall_limit;
-  if (options.faults) {
-    flow_options.on_testbed = [&injector, &options](MptcpTestbed& bed) {
-      injector.set_target(PathId::kWifi, &bed.path(PathId::kWifi),
-                          &bed.iface(PathId::kWifi));
-      injector.set_target(PathId::kLte, &bed.path(PathId::kLte), &bed.iface(PathId::kLte));
-      injector.arm(*options.faults);
-    };
-  }
-  const MptcpFlowResult r = run_mptcp_flow(sim, net, config.mp, bytes, dir, flow_options);
+  TransportFlowResult out =
+      run_mptcp_flow(sim, net, config.mp, bytes, dir, options, [&](MptcpTestbed& bed) {
+        if (!faults) return;
+        for (const PathId p : {PathId::kWifi, PathId::kLte}) {
+          injector.set_target(p, &bed.path(p), &bed.iface(p));
+        }
+        injector.arm(*faults);
+      });
   // The testbed is gone once run_mptcp_flow returns; drop any event still
   // scheduled against it before this scope's own teardown.
   injector.disarm();
-  out.completed = r.completed;
-  out.completion_time = r.completion_time;
-  out.throughput_mbps = r.throughput_mbps;
-  out.timeline = r.timeline;
-  out.subflow_timelines = r.subflow_timelines;
-  out.subflow_paths = r.subflow_paths;
-  out.stall_time = r.max_stall;
-  out.failure_reason = r.failure_reason;
   return out;
 }
 
-TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net,
-                                       const TransportConfig& config, std::int64_t bytes,
-                                       Direction dir, Duration timeout) {
-  TransportRunOptions options;
-  options.timeout = timeout;
-  // Legacy contract: wall-clock cap only (scripted failure experiments
-  // hold flows stalled for tens of seconds on purpose).
-  options.stall_limit = timeout;
-  return run_transport_flow(sim, net, config, bytes, dir, options);
-}
-
 std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
                                          const TransportConfig& config,
                                          const std::vector<std::int64_t>& sizes,
-                                         const SweepOptions& options) {
-  // Each point is a pure function of (net, config, bytes, dir): a fresh
+                                         int parallelism) {
+  // Each point is a pure function of (net, config, bytes): a fresh
   // private Simulator per point, the shared setup read-only.
-  return parallel_map(sizes.size(), options.parallelism, [&](std::size_t i) {
+  return parallel_map(sizes.size(), parallelism, [&](std::size_t i) {
     Simulator sim;  // fresh world per point: identical starting conditions
-    const auto r = run_transport_flow(sim, net, config, sizes[i], options.dir);
+    const auto r = run_transport_flow(sim, net, config, sizes[i], Direction::kDownload);
     return SweepPoint{sizes[i], r.throughput_mbps, r.completion_time};
   });
-}
-
-std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
-                                         const TransportConfig& config,
-                                         const std::vector<std::int64_t>& sizes,
-                                         Direction dir) {
-  SweepOptions options;
-  options.dir = dir;
-  return sweep_flow_sizes(net, config, sizes, options);
 }
 
 }  // namespace mn

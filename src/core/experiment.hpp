@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -14,46 +13,20 @@
 
 namespace mn {
 
-/// Uniform result for single-path and MPTCP flows.
-struct TransportFlowResult {
-  bool completed = false;
-  Duration completion_time{0};
-  double throughput_mbps = 0.0;
-  /// Client-observed cumulative-bytes timeline (relative to first SYN).
-  std::vector<TimelinePoint> timeline;
-  /// MPTCP only: per-subflow client timelines (empty for single path).
-  std::array<std::vector<TimelinePoint>, 2> subflow_timelines;
-  std::array<PathId, 2> subflow_paths{PathId::kWifi, PathId::kLte};
-  /// Longest gap between progress events seen by the watchdog.
-  Duration stall_time{0};
-  /// Why the flow did not complete ("" when it did): "stall: ...",
-  /// "timeout", or "idle: ...".
-  std::string failure_reason;
-};
-
-/// Knobs for run_transport_flow beyond the flow itself.
-struct TransportRunOptions {
-  Duration timeout = sec(120);
-  /// Watchdog bound: abort once no progress is made for this long.
-  Duration stall_limit = sec(30);
-  /// Optional fault schedule, armed against the flow's path(s) at start
-  /// (not owned; must outlive the call).
-  const FaultPlan* faults = nullptr;
-};
+/// One result type for single-path and MPTCP flows; a single-path flow
+/// leaves the multipath fields at their defaults (no subflow timelines).
+using TransportFlowResult = MptcpFlowResult;
 
 /// Run `bytes` under `config` over `net`.  A fresh Simulator should be
 /// used per call for reproducibility (pass one in; it is advanced).
+/// `faults`, when set, is armed against the flow's path(s) at start (not
+/// owned; must outlive the call).
 [[nodiscard]] TransportFlowResult run_transport_flow(Simulator& sim,
                                                      const MpNetworkSetup& net,
                                                      const TransportConfig& config,
                                                      std::int64_t bytes, Direction dir,
-                                                     const TransportRunOptions& options);
-
-[[nodiscard]] TransportFlowResult run_transport_flow(Simulator& sim,
-                                                     const MpNetworkSetup& net,
-                                                     const TransportConfig& config,
-                                                     std::int64_t bytes, Direction dir,
-                                                     Duration timeout = sec(120));
+                                                     const FlowOptions& options = {},
+                                                     const FaultPlan* faults = nullptr);
 
 /// One point of a flow-size sweep.
 struct SweepPoint {
@@ -62,23 +35,14 @@ struct SweepPoint {
   Duration completion_time{0};
 };
 
-/// Knobs for sweep_flow_sizes.
-struct SweepOptions {
-  Direction dir = Direction::kDownload;
-  /// Worker threads for the per-size runs: 0/1 = serial, negative =
-  /// follow MN_THREADS.  Each point builds a private Simulator from the
-  /// shared-immutable setup, so results are bit-identical at any value.
-  int parallelism = -1;
-};
-
-/// Throughput as a function of flow size for one config (Figure 7 axes).
+/// Download throughput as a function of flow size for one config
+/// (Figure 7 axes).  `parallelism` is the worker count for the per-size
+/// runs: 0/1 = serial, negative = follow MN_THREADS.  Each point builds
+/// a private Simulator from the shared-immutable setup, so results are
+/// bit-identical at any value.
 [[nodiscard]] std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
                                                        const TransportConfig& config,
                                                        const std::vector<std::int64_t>& sizes,
-                                                       const SweepOptions& options);
-
-[[nodiscard]] std::vector<SweepPoint> sweep_flow_sizes(
-    const MpNetworkSetup& net, const TransportConfig& config,
-    const std::vector<std::int64_t>& sizes, Direction dir = Direction::kDownload);
+                                                       int parallelism = -1);
 
 }  // namespace mn

@@ -5,13 +5,10 @@
 #include <exception>
 #include <stdexcept>
 
-#include "faults/fault_injector.hpp"
-#include "faults/fault_plan.hpp"
-#include "mptcp/testbed.hpp"
+#include "core/experiment.hpp"
 #include "net/middlebox.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
-#include "tcp/flow.hpp"
 #include "util/parallel.hpp"
 
 namespace mn {
@@ -49,42 +46,24 @@ ProbeResult probe_network(double rate_mbps, Duration one_way, bool lte, Rng& rng
                           const CampaignOptions& opt, const FaultPlan* faults,
                           obs::ObsHub* hub) {
   ProbeResult res;
-  const PathId path_id = lte ? PathId::kLte : PathId::kWifi;
-  BulkFlowOptions flow_options;
-  flow_options.timeout = sec(60);
-  // Unfaulted probes keep the legacy wall-clock-only contract; faulted
-  // ones get the tight watchdog so an unrestored blackhole fails the run
-  // quickly instead of burning the full timeout.
-  flow_options.stall_limit = faults ? opt.fault_stall_limit : sec(60);
-  {
+  const auto config = TransportConfig::single_path(lte ? PathId::kLte : PathId::kWifi);
+  // Unfaulted probes keep the wall-clock-only contract; faulted ones get
+  // the tight watchdog so an unrestored blackhole fails the run quickly
+  // instead of burning the full timeout.
+  const FlowOptions options{sec(60), faults ? opt.fault_stall_limit : sec(60)};
+  for (const Direction dir : {Direction::kUpload, Direction::kDownload}) {
+    const bool up = dir == Direction::kUpload;
     Simulator sim;
     sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
-    FaultInjector injector{sim};
-    if (faults) {
-      injector.set_target(path_id, &path);
-      injector.arm(*faults);
+    MpNetworkSetup net;
+    (lte ? net.lte_up : net.wifi_up) = make_link(rate_mbps, one_way, lte, rng);
+    (lte ? net.lte_down : net.wifi_down) = make_link(rate_mbps, one_way, lte, rng);
+    const auto r =
+        run_transport_flow(sim, net, config, opt.transfer_bytes, dir, options, faults);
+    (up ? res.up_mbps : res.down_mbps) = r.throughput_mbps;
+    if (!r.completed && res.failure.empty()) {
+      res.failure = (up ? "uplink " : "downlink ") + r.failure_reason;
     }
-    const auto up = run_bulk_flow(sim, path, opt.transfer_bytes, Direction::kUpload,
-                                  reno_factory(), flow_options);
-    res.up_mbps = up.throughput_mbps;
-    if (!up.completed) res.failure = "uplink " + up.failure_reason;
-  }
-  {
-    Simulator sim;
-    sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
-    FaultInjector injector{sim};
-    if (faults) {
-      injector.set_target(path_id, &path);
-      injector.arm(*faults);
-    }
-    const auto down = run_bulk_flow(sim, path, opt.transfer_bytes, Direction::kDownload,
-                                    reno_factory(), flow_options);
-    res.down_mbps = down.throughput_mbps;
-    if (!down.completed && res.failure.empty()) res.failure = "downlink " + down.failure_reason;
   }
   {
     Simulator sim;
@@ -111,12 +90,11 @@ void probe_multipath(const RunPlan& plan, const CampaignOptions& opt, Rng& rng,
   setup.wifi_down = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
   setup.lte_up = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
   setup.lte_down = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
-  FlowRunOptions flow_options;
-  flow_options.timeout = sec(60);
   // A degraded flow still finishes on the surviving path; only a real
-  // stall (which the fallback machinery must prevent) trips this.
-  flow_options.stall_limit = sec(10);
-  flow_options.on_testbed = [&plan](MptcpTestbed& bed) {
+  // stall (which the fallback machinery must prevent) trips the 10 s
+  // watchdog.
+  const FlowOptions options{sec(60), sec(10)};
+  const auto middleboxes = [&plan](MptcpTestbed& bed) {
     MiddleboxSpec wifi_box;
     wifi_box.strip_capable = plan.middlebox_strip;
     wifi_box.seed = mix_seed(plan.middlebox_seed, "wifi");
@@ -131,7 +109,7 @@ void probe_multipath(const RunPlan& plan, const CampaignOptions& opt, Rng& rng,
   MptcpSpec spec;
   spec.scheduler = opt.mp_scheduler;
   const MptcpFlowResult r = run_mptcp_flow(sim, setup, spec, opt.mp_probe_bytes,
-                                           Direction::kDownload, flow_options);
+                                           Direction::kDownload, options, middleboxes);
   rec.mp_probed = true;
   rec.negotiated_mp = r.negotiated_mp;
   rec.achieved_mp = r.achieved_mp;

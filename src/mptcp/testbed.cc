@@ -6,6 +6,8 @@
 
 namespace mn {
 
+constexpr std::uint64_t kConnectionId = 1;  // one connection per testbed
+
 MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte) {
   MpNetworkSetup s;
   s.wifi_up = s.wifi_down = wifi;
@@ -13,8 +15,7 @@ MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte) {
   return s;
 }
 
-MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec,
-                           std::uint64_t connection_id)
+MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec)
     : sim_(sim), meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
   wifi_path_ = std::make_unique<DuplexPath>(sim, setup.wifi_up, setup.wifi_down);
   lte_path_ = std::make_unique<DuplexPath>(sim, setup.lte_up, setup.lte_down);
@@ -23,8 +24,8 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
   ifaces_[1] = std::make_unique<NetworkInterface>("lte", sim, *lte_path_,
                                                   setup.lte_reports_carrier_loss);
 
-  client_ = std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/true);
-  server_ = std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/false);
+  client_ = std::make_unique<MptcpAgent>(sim, kConnectionId, spec, /*is_client=*/true);
+  server_ = std::make_unique<MptcpAgent>(sim, kConnectionId, spec, /*is_client=*/false);
 
   for (int id = 0; id < 2; ++id) {
     const PathId path = client_->subflow_path(id);
@@ -117,40 +118,12 @@ std::uint64_t MptcpTestbed::progress_signature() const {
 }
 
 WatchdogResult MptcpTestbed::run_with_watchdog(Duration timeout, Duration stall_limit) {
-  WatchdogResult result;
-  const TimePoint deadline = sim_.now() + timeout;
-  // The watchdog is a *simulator* event, so the stall bound holds even
-  // when the next real event is far away (exponential RTO backoff can
-  // leave minute-long gaps in the queue).
-  bool stalled = false;
-  Timer watchdog{sim_, [&stalled] { stalled = true; }};
-  watchdog.restart(stall_limit);
-  std::uint64_t last_sig = progress_signature();
-  TimePoint last_progress = sim_.now();
-
-  while (!(client_->finished() && server_->finished())) {
-    if (stalled || sim_.now() >= deadline) break;
-    if (!sim_.step()) break;
-    const std::uint64_t sig = progress_signature();
-    if (sig != last_sig) {
-      result.max_stall = std::max(result.max_stall, sim_.now() - last_progress);
-      last_sig = sig;
-      last_progress = sim_.now();
-      watchdog.restart(stall_limit);
-    }
-  }
-  result.max_stall = std::max(result.max_stall, sim_.now() - last_progress);
-
-  if (client_->finished() && server_->finished()) {
-    result.completed = true;
-  } else if (stalled) {
-    result.reason = "stall: no progress for " + std::to_string(stall_limit.usec() / 1000) +
-                    " ms";
-  } else if (sim_.now() >= deadline) {
-    result.reason = "timeout";
+  WatchdogResult result =
+      run_watched(sim_, timeout, stall_limit,
+                  [this] { return client_->finished() && server_->finished(); },
+                  [this] { return progress_signature(); });
+  if (result.reason == "timeout") {
     if (auto* o = sim_.obs()) o->count(o->ids().mptcp_run_timeouts);
-  } else {
-    result.reason = "idle: event queue drained before completion";
   }
   return result;
 }
@@ -162,27 +135,37 @@ void MptcpTestbed::shutdown() {
 
 MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
                                const MptcpSpec& spec, std::int64_t bytes, Direction dir,
-                               const FlowRunOptions& options) {
-  MptcpTestbed bed{sim, setup, spec, options.connection_id};
+                               const FlowOptions& options,
+                               const std::function<void(MptcpTestbed&)>& on_testbed) {
+  MptcpTestbed bed{sim, setup, spec};
   const TimePoint start = sim.now();
   MptcpFlowResult result;
 
-  bed.client().on_established = [&] { result.primary_established = sim.now() - start; };
-  if (options.on_testbed) options.on_testbed(bed);
+  bed.client().on_established = [&] { result.syn_rtt = sim.now() - start; };
+  if (on_testbed) on_testbed(bed);
   bed.start_transfer(bytes, dir);
-  const WatchdogResult watchdog = bed.run_with_watchdog(options.timeout, options.stall_limit);
-  result.max_stall = watchdog.max_stall;
-  if (!watchdog.completed) {
-    result.failure_reason = watchdog.reason;
-    // Quiesce the agents so the caller can drain the simulator without
-    // RTO timers rescheduling forever.
-    bed.shutdown();
+  const WatchdogResult watchdog =
+      bed.run_with_watchdog(options.timeout, options.stall_limit.value_or(options.timeout));
+  // Quiesce the agents so the caller can drain the simulator without
+  // RTO timers rescheduling forever.
+  if (!watchdog.completed) bed.shutdown();
+
+  // Client-observed data-level clock: delivered for downloads, acked for
+  // uploads (the paper measures at the phone's tcpdump).
+  MptcpAgent& client = bed.client();
+  const bool down = dir == Direction::kDownload;
+  settle_flow(result, down ? client.delivered_timeline() : client.acked_timeline(), start,
+              bytes, options.timeout, watchdog);
+  for (int id = 0; id < 2; ++id) {
+    const TcpEndpoint& sf = client.subflow(id);
+    const auto i = static_cast<std::size_t>(id);
+    result.subflow_paths[i] = client.subflow_path(id);
+    result.subflow_timelines[i] =
+        timeline_since(down ? sf.delivered_timeline() : sf.acked_timeline(), start);
+    result.retransmits +=
+        sf.retransmit_count() + bed.server().subflow(id).retransmit_count();
   }
 
-  // Negotiation outcome: the client (active opener) is authoritative —
-  // it is the side real measurement tools observe — but when a one-way
-  // middlebox leaves the views asymmetric, a fallback either side saw is
-  // worth reporting.
   // Per-radio energy: integrate to end-of-run + 20 s so the LTE tail
   // (15 s after the FIN) is fully charged to the flow that caused it.
   result.scheduler = spec.scheduler;
@@ -194,64 +177,19 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
     bed.meter(PathId::kLte).publish(*o, energy_horizon, /*radio_id=*/1);
   }
 
-  result.negotiation = bed.client().negotiation();
-  result.negotiated_mp = bed.client().negotiated_mp();
-  result.achieved_mp = bed.client().achieved_mp();
-  result.join_attempts = bed.client().join_attempts();
-  result.fallback_reason = bed.client().fallback_reason();
+  // Negotiation outcome: the client (active opener) is authoritative —
+  // it is the side real measurement tools observe — but when a one-way
+  // middlebox leaves the views asymmetric, a fallback either side saw is
+  // worth reporting.
+  result.negotiation = client.negotiation();
+  result.negotiated_mp = client.negotiated_mp();
+  result.achieved_mp = client.achieved_mp();
+  result.join_attempts = client.join_attempts();
+  result.fallback_reason = client.fallback_reason();
   if (result.fallback_reason.empty()) {
     result.fallback_reason = bed.server().fallback_reason();
   }
-
-  // Client-observed data-level clock: delivered for downloads, acked for
-  // uploads (the paper measures at the phone's tcpdump).
-  const auto& tl = (dir == Direction::kDownload) ? bed.client().delivered_timeline()
-                                                 : bed.client().acked_timeline();
-  result.timeline.reserve(tl.size());
-  for (const auto& pt : tl) {
-    result.timeline.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
-  }
-  for (int id = 0; id < 2; ++id) {
-    result.subflow_paths[static_cast<std::size_t>(id)] = bed.client().subflow_path(id);
-    const auto& stl = (dir == Direction::kDownload)
-                          ? bed.client().subflow(id).delivered_timeline()
-                          : bed.client().subflow(id).acked_timeline();
-    auto& out = result.subflow_timelines[static_cast<std::size_t>(id)];
-    out.reserve(stl.size());
-    for (const auto& pt : stl) {
-      out.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
-    }
-  }
-
-  const std::int64_t observed = result.timeline.empty() ? 0 : result.timeline.back().bytes;
-  if (observed >= bytes) {
-    result.completed = true;
-    for (const auto& pt : result.timeline) {
-      if (pt.bytes >= bytes) {
-        result.completion_time = Duration{pt.t.usec()};
-        break;
-      }
-    }
-    result.throughput_mbps = throughput_mbps(bytes, result.completion_time);
-  } else {
-    result.completion_time = options.timeout;
-    result.throughput_mbps = throughput_mbps(observed, options.timeout);
-    if (result.failure_reason.empty()) result.failure_reason = "incomplete";
-  }
   return result;
-}
-
-MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
-                               const MptcpSpec& spec, std::int64_t bytes, Direction dir,
-                               Duration timeout, std::uint64_t connection_id) {
-  FlowRunOptions options;
-  options.timeout = timeout;
-  // Preserve the legacy contract: a plain wall-clock cap.  The paper's
-  // scripted failure experiments deliberately hold a flow stalled for
-  // tens of seconds (Figure 15g), so no stall bound here.
-  options.stall_limit = timeout;
-  options.connection_id = connection_id;
-  return run_mptcp_flow(sim, setup, spec, bytes, dir, options);
 }
 
 }  // namespace mn

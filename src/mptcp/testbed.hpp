@@ -45,21 +45,9 @@ struct PacketEvent {
   std::int64_t payload = 0;
 };
 
-/// Outcome of MptcpTestbed::run_with_watchdog.
-struct WatchdogResult {
-  bool completed = false;
-  /// Longest observed gap between two progress-signature changes.  The
-  /// watchdog guarantees max_stall <= stall_limit even when the event
-  /// queue is sparse (60s RTO-backoff gaps on a blackholed path).
-  Duration max_stall{0};
-  /// Empty on success; "stall", "timeout" or "idle" otherwise.
-  std::string reason;
-};
-
 class MptcpTestbed {
  public:
-  MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec,
-               std::uint64_t connection_id = 1);
+  MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec);
   MptcpTestbed(const MptcpTestbed&) = delete;
   MptcpTestbed& operator=(const MptcpTestbed&) = delete;
   ~MptcpTestbed();
@@ -119,16 +107,9 @@ class MptcpTestbed {
   std::array<EnergyMeter, 2> meters_;  // index = PathId
 };
 
-/// Result of one MPTCP bulk flow (run_mptcp_flow).
-struct MptcpFlowResult {
-  bool completed = false;
-  Duration completion_time{0};  // first SYN -> all data observed at client
-  double throughput_mbps = 0.0;
-  Duration primary_established{0};
-  /// Longest progress gap observed by the watchdog.
-  Duration max_stall{0};
-  /// Why the flow did not complete ("" when it did).
-  std::string failure_reason;
+/// Result of one MPTCP bulk flow: the single-path result (syn_rtt is
+/// the primary subflow's handshake) plus how multipath fared.
+struct MptcpFlowResult : FlowResult {
   /// How multipath negotiation settled (client view; middlebox realism).
   MpNegotiation negotiation = MpNegotiation::kNegotiating;
   /// MP_CAPABLE survived the primary handshake end to end.
@@ -147,33 +128,19 @@ struct MptcpFlowResult {
   /// start to end-of-run + 20 s so the LTE tail is fully charged.
   double energy_wifi_j = 0.0;
   double energy_lte_j = 0.0;
-  /// Client-observed MPTCP data-level timeline (relative to first SYN).
-  std::vector<TimelinePoint> timeline;
   /// Client-observed per-subflow byte timelines (index = subflow id;
   /// subflow 0 is on the primary network).
   std::array<std::vector<TimelinePoint>, 2> subflow_timelines;
   std::array<PathId, 2> subflow_paths{PathId::kWifi, PathId::kLte};
 };
 
-/// Knobs for run_mptcp_flow beyond the flow itself.
-struct FlowRunOptions {
-  Duration timeout = sec(120);
-  /// Abort when no progress for this long (watchdog bound).
-  Duration stall_limit = sec(30);
-  std::uint64_t connection_id = 1;
-  /// Called after the testbed is wired but before the transfer starts;
-  /// the fault layer uses this to arm a FaultInjector against the bed's
-  /// paths/interfaces without mptcp depending on the faults library.
-  std::function<void(MptcpTestbed&)> on_testbed;
-};
-
-[[nodiscard]] MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
-                                             const MptcpSpec& spec, std::int64_t bytes,
-                                             Direction dir, const FlowRunOptions& options);
-
-[[nodiscard]] MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
-                                             const MptcpSpec& spec, std::int64_t bytes,
-                                             Direction dir, Duration timeout = sec(120),
-                                             std::uint64_t connection_id = 1);
+/// Runs one bulk transfer of `bytes` over a fresh testbed.  `on_testbed`
+/// is called after the testbed is wired but before the transfer starts;
+/// the fault layer uses it to arm a FaultInjector against the bed's
+/// paths/interfaces without mptcp depending on the faults library.
+[[nodiscard]] MptcpFlowResult run_mptcp_flow(
+    Simulator& sim, const MpNetworkSetup& setup, const MptcpSpec& spec, std::int64_t bytes,
+    Direction dir, const FlowOptions& options = {},
+    const std::function<void(MptcpTestbed&)>& on_testbed = {});
 
 }  // namespace mn

@@ -1,16 +1,10 @@
 #include "tcp/flow.hpp"
 
-#include <algorithm>
-#include <string>
 #include <tuple>
 
 #include "util/units.hpp"
 
 namespace mn {
-
-CcFactory reno_factory() {
-  return [] { return std::make_unique<RenoCc>(); };
-}
 
 double timeline_throughput_at(const std::vector<TimelinePoint>& timeline, Duration t) {
   if (t.usec() <= 0) return 0.0;
@@ -22,23 +16,53 @@ double timeline_throughput_at(const std::vector<TimelinePoint>& timeline, Durati
   return throughput_mbps(bytes, t);
 }
 
-FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
-                         Direction dir, const CcFactory& cc_factory,
-                         const BulkFlowOptions& options) {
-  TcpConfig client_cfg;
-  client_cfg.connection_id = options.connection_id;
-  TcpConfig server_cfg = client_cfg;
+std::vector<TimelinePoint> timeline_since(const std::vector<TimelinePoint>& timeline,
+                                          TimePoint start) {
+  std::vector<TimelinePoint> out;
+  out.reserve(timeline.size());
+  for (const auto& pt : timeline) {
+    out.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
+  }
+  return out;
+}
 
-  TcpEndpoint client{sim, client_cfg, cc_factory()};
-  TcpEndpoint server{sim, server_cfg, cc_factory()};
-  const InterfaceTap& tap = options.client_tap;  // outlives the run loop below
-  if (tap) {
-    client.set_transmit([&path, &tap, &sim](Packet p) {
-      tap(sim.now(), PacketDir::kSent, p);
+void settle_flow(FlowResult& result, const std::vector<TimelinePoint>& clock,
+                 TimePoint start, std::int64_t bytes, Duration timeout,
+                 const WatchdogResult& watchdog) {
+  result.timeline = timeline_since(clock, start);
+  result.max_stall = watchdog.max_stall;
+  const std::int64_t observed = result.timeline.empty() ? 0 : result.timeline.back().bytes;
+  result.completed = observed >= bytes;
+  if (result.completed) {
+    // Completion = when the byte count first reached the target.
+    for (const auto& pt : result.timeline) {
+      if (pt.bytes >= bytes) {
+        result.completion_time = Duration{pt.t.usec()};
+        break;
+      }
+    }
+    result.throughput_mbps = throughput_mbps(bytes, result.completion_time);
+  } else {
+    result.completion_time = timeout;
+    result.throughput_mbps = throughput_mbps(observed, timeout);
+    // Both ends can finish short of `bytes` (MPTCP data dropped by a
+    // middlebox); the watchdog then has no reason to give.
+    result.failure_reason = watchdog.completed ? "incomplete" : watchdog.reason;
+  }
+}
+
+FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
+                         Direction dir, const FlowOptions& options,
+                         const InterfaceTap& client_tap) {
+  TcpEndpoint client{sim, TcpConfig{}, std::make_unique<RenoCc>()};
+  TcpEndpoint server{sim, TcpConfig{}, std::make_unique<RenoCc>()};
+  if (client_tap) {
+    client.set_transmit([&path, &client_tap, &sim](Packet p) {
+      client_tap(sim.now(), PacketDir::kSent, p);
       path.send_up(std::move(p));
     });
-    path.set_client_receiver([&client, &tap, &sim](Packet p) {
-      tap(sim.now(), PacketDir::kReceived, p);
+    path.set_client_receiver([&client, &client_tap, &sim](Packet p) {
+      client_tap(sim.now(), PacketDir::kReceived, p);
       client.handle_packet(p);
     });
   } else {
@@ -67,72 +91,24 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   server.listen();
   client.connect();
 
-  const TimePoint deadline = start + options.timeout;
-  auto finished = [&] {
-    return client.state() == TcpState::kDone && server.state() == TcpState::kDone;
-  };
   // Progress = bytes moving or connection state changing; retransmit
   // counters are deliberately excluded so a blackholed flow trips the
   // watchdog instead of burning the whole timeout.
-  auto signature = [&] {
-    return std::tuple{client.bytes_acked() + client.bytes_delivered(),
-                      server.bytes_acked() + server.bytes_delivered(),
-                      client.state(), server.state()};
-  };
-  // Simulator-event watchdog: bounds the stall even when the next queued
-  // event (an exponentially backed-off RTO) is minutes away.
-  bool stalled = false;
-  Timer watchdog{sim, [&stalled] { stalled = true; }};
-  watchdog.restart(options.stall_limit);
-  auto last_sig = signature();
-  TimePoint last_progress = sim.now();
-  while (!finished()) {
-    if (stalled || sim.now() >= deadline) break;
-    if (!sim.step()) break;
-    const auto sig = signature();
-    if (sig != last_sig) {
-      result.max_stall = std::max(result.max_stall, sim.now() - last_progress);
-      last_sig = sig;
-      last_progress = sim.now();
-      watchdog.restart(options.stall_limit);
-    }
-  }
-  result.max_stall = std::max(result.max_stall, sim.now() - last_progress);
-
-  // The client-observed byte clock: delivered bytes for a download, acked
-  // bytes for an upload (what tcpdump at the phone would show).
-  const auto& client_timeline =
-      (dir == Direction::kDownload) ? client.delivered_timeline() : client.acked_timeline();
-  result.timeline.reserve(client_timeline.size());
-  for (const auto& pt : client_timeline) {
-    result.timeline.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
-  }
+  const WatchdogResult watchdog = run_watched(
+      sim, options.timeout, options.stall_limit.value_or(options.timeout),
+      [&] {
+        return client.state() == TcpState::kDone && server.state() == TcpState::kDone;
+      },
+      [&] {
+        return std::tuple{client.bytes_acked() + client.bytes_delivered(),
+                          server.bytes_acked() + server.bytes_delivered(), client.state(),
+                          server.state()};
+      });
+  settle_flow(result,
+              dir == Direction::kDownload ? client.delivered_timeline()
+                                          : client.acked_timeline(),
+              start, bytes, options.timeout, watchdog);
   result.retransmits = client.retransmit_count() + server.retransmit_count();
-
-  const std::int64_t observed =
-      result.timeline.empty() ? 0 : result.timeline.back().bytes;
-  if (observed >= bytes) {
-    result.completed = true;
-    // Completion = when the byte count first reached the target.
-    for (const auto& pt : result.timeline) {
-      if (pt.bytes >= bytes) {
-        result.completion_time = Duration{pt.t.usec()};
-        break;
-      }
-    }
-    result.throughput_mbps = throughput_mbps(bytes, result.completion_time);
-  } else {
-    result.completion_time = options.timeout;
-    result.throughput_mbps = throughput_mbps(observed, options.timeout);
-    if (stalled) {
-      result.failure_reason = "stall: no progress for " +
-                              std::to_string(options.stall_limit.usec() / 1000) + " ms";
-    } else if (sim.now() >= deadline) {
-      result.failure_reason = "timeout";
-    } else {
-      result.failure_reason = "idle: event queue drained before completion";
-    }
-  }
 
   // Freeze both ends so an aborted flow stops rescheduling RTO timers,
   // then detach path handlers: packets still in flight after this run
@@ -144,18 +120,6 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   path.set_client_receiver_batch({});
   path.set_server_receiver_batch({});
   return result;
-}
-
-FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
-                         Direction dir, const CcFactory& cc_factory, Duration timeout,
-                         std::uint64_t connection_id) {
-  BulkFlowOptions options;
-  options.timeout = timeout;
-  // Legacy contract: wall-clock cap only (scripted failure experiments
-  // hold flows stalled deliberately).
-  options.stall_limit = timeout;
-  options.connection_id = connection_id;
-  return run_bulk_flow(sim, path, bytes, dir, cc_factory, options);
 }
 
 Duration measure_ping_rtt(Simulator& sim, DuplexPath& path, int count) {

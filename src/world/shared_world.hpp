@@ -78,8 +78,9 @@ struct WorldOptions {
   bool attach_obs = false;
   /// false -> width-1 scalar dispatch (golden tests; results identical).
   bool batch_dispatch = true;
-  /// Worker threads for run_world (0 -> MN_THREADS / hardware).
-  int parallelism = 0;
+  /// Worker threads for run_world: 0/1 = serial, negative = follow
+  /// MN_THREADS.
+  int parallelism = -1;
 };
 
 /// One cluster's shared world: cells + n users on one Simulator.  The

@@ -73,18 +73,15 @@ TEST(SweepFlowSizes, DeterministicAcrossCalls) {
 }
 
 // Golden determinism check of the parallel sweep: every point is a pure
-// function of (net, config, size, dir), so the worker count must never
+// function of (net, config, size), so the worker count must never
 // change a bit of any result.
 TEST(SweepFlowSizes, ParallelSweepIsBitIdenticalToSerial) {
   std::vector<std::int64_t> sizes;
   for (std::int64_t kb = 20; kb <= 200; kb += 20) sizes.push_back(kb * 1000);
   const auto cfg = TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled);
-  SweepOptions options;
-  options.parallelism = 0;
-  const auto serial = sweep_flow_sizes(net(), cfg, sizes, options);
+  const auto serial = sweep_flow_sizes(net(), cfg, sizes, /*parallelism=*/0);
   for (int workers : {1, 4}) {
-    options.parallelism = workers;
-    const auto parallel = sweep_flow_sizes(net(), cfg, sizes, options);
+    const auto parallel = sweep_flow_sizes(net(), cfg, sizes, workers);
     ASSERT_EQ(parallel.size(), serial.size()) << "workers=" << workers;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].flow_bytes, serial[i].flow_bytes);

@@ -311,15 +311,11 @@ TEST(RunTransportFlow, ReportsStallAndReasonUnderUnrestoredBlackhole) {
   config.path = PathId::kWifi;
   FaultPlan plan;
   plan.blackhole(msec(200), PathId::kWifi);
-  TransportRunOptions options;
-  options.timeout = sec(60);
-  options.stall_limit = sec(5);
-  options.faults = &plan;
   const auto r = run_transport_flow(sim, basic_setup(), config, 2'000'000,
-                                    Direction::kDownload, options);
+                                    Direction::kDownload, {sec(60), sec(5)}, &plan);
   EXPECT_FALSE(r.completed);
   EXPECT_NE(r.failure_reason.find("stall"), std::string::npos) << r.failure_reason;
-  EXPECT_LE(r.stall_time.usec(), sec(5).usec());
+  EXPECT_LE(r.max_stall.usec(), sec(5).usec());
   sim.run_until_idle();
   EXPECT_EQ(sim.pending_events(), 0u);
 }
@@ -331,15 +327,33 @@ TEST(RunTransportFlow, MptcpFlowSurvivesScriptedFaults) {
   config.mp = spec(PathId::kWifi);
   FaultPlan plan;
   plan.blackhole(msec(300), PathId::kWifi).restore(sec(2), PathId::kWifi);
-  TransportRunOptions options;
-  options.timeout = sec(60);
-  options.stall_limit = sec(30);
-  options.faults = &plan;
   const auto r = run_transport_flow(sim, basic_setup(), config, 1'000'000,
-                                    Direction::kDownload, options);
+                                    Direction::kDownload, {sec(60), sec(30)}, &plan);
   EXPECT_TRUE(r.completed) << r.failure_reason;
   sim.run_until_idle();
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A flow is judged by its byte clock alone.  Blackholing both paths at
+// the instant the last byte lands (213,811 us, the flow's clean
+// completion time) leaves the MPTCP agents unable to close, so the
+// watchdog fires; the download still completed and has no failure
+// reason, exactly as a single-path flow blackholed the same way.
+TEST(RunTransportFlow, CompletedFlowHasNoFailureReasonWhenItsCloseStalls) {
+  const MpNetworkSetup net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
+  FaultPlan plan;
+  const Duration last_byte{213'811};
+  plan.blackhole(last_byte, PathId::kWifi).blackhole(last_byte, PathId::kLte);
+  for (const TransportConfig& config :
+       {TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled),
+        TransportConfig::single_path(PathId::kWifi)}) {
+    Simulator sim;
+    const auto r = run_transport_flow(sim, net, config, 200'000, Direction::kDownload,
+                                      {sec(60), sec(5)}, &plan);
+    EXPECT_TRUE(r.completed) << config.name();
+    EXPECT_EQ(r.completion_time.usec(), last_byte.usec()) << config.name();
+    EXPECT_EQ(r.failure_reason, "") << config.name();
+  }
 }
 
 }  // namespace

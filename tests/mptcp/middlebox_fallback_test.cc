@@ -31,10 +31,9 @@ MpNetworkSetup net_with_lte_box(const MiddleboxSpec& box) {
   return net;
 }
 
-MptcpFlowResult run(const MpNetworkSetup& net, const MptcpSpec& spec,
-                    std::int64_t bytes, const FlowRunOptions& fo = {}) {
+MptcpFlowResult run(const MpNetworkSetup& net, const MptcpSpec& spec, std::int64_t bytes) {
   Simulator sim;
-  return run_mptcp_flow(sim, net, spec, bytes, Direction::kDownload, fo);
+  return run_mptcp_flow(sim, net, spec, bytes, Direction::kDownload, {sec(120), sec(30)});
 }
 
 TEST(MiddleboxFallback, CleanPathNegotiatesAndAchievesMultipath) {
@@ -107,8 +106,7 @@ TEST(MiddleboxFallback, MidFlowMangleDrainsOnSurvivingSubflow) {
   spec.primary = PathId::kWifi;
   Simulator sim;
   const auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  FlowRunOptions fo;
-  fo.on_testbed = [&sim](MptcpTestbed& bed) {
+  const auto mangle_later = [&sim](MptcpTestbed& bed) {
     sim.schedule_at(TimePoint{msec(300).usec()}, [&bed] {
       MiddleboxSpec box;
       box.rewrite_seq = 1.0;
@@ -116,7 +114,8 @@ TEST(MiddleboxFallback, MidFlowMangleDrainsOnSurvivingSubflow) {
       bed.path(PathId::kLte).downlink().set_middlebox(box);
     });
   };
-  const auto r = run_mptcp_flow(sim, net, spec, 2'000'000, Direction::kDownload, fo);
+  const auto r = run_mptcp_flow(sim, net, spec, 2'000'000, Direction::kDownload,
+                                {sec(120), sec(30)}, mangle_later);
   ASSERT_TRUE(r.completed) << r.failure_reason;
   EXPECT_TRUE(r.achieved_mp);  // multipath worked until the box appeared
   EXPECT_EQ(r.fallback_reason, "mid_flow_dss");
@@ -131,8 +130,7 @@ TEST(MiddleboxFallback, SoleSubflowMangleContinuesAsPlainTcp) {
   spec.mode = MpMode::kSinglePath;
   Simulator sim;
   const auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  FlowRunOptions fo;
-  fo.on_testbed = [&sim](MptcpTestbed& bed) {
+  const auto mangle_later = [&sim](MptcpTestbed& bed) {
     sim.schedule_at(TimePoint{msec(300).usec()}, [&bed] {
       MiddleboxSpec box;
       box.rewrite_seq = 1.0;
@@ -140,7 +138,8 @@ TEST(MiddleboxFallback, SoleSubflowMangleContinuesAsPlainTcp) {
       bed.path(PathId::kWifi).downlink().set_middlebox(box);
     });
   };
-  const auto r = run_mptcp_flow(sim, net, spec, 1'000'000, Direction::kDownload, fo);
+  const auto r = run_mptcp_flow(sim, net, spec, 1'000'000, Direction::kDownload,
+                                {sec(120), sec(30)}, mangle_later);
   ASSERT_TRUE(r.completed) << r.failure_reason;
   EXPECT_EQ(r.fallback_reason, "mid_flow_dss");
   EXPECT_EQ(r.negotiation, MpNegotiation::kFallbackTcp);

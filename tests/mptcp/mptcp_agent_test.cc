@@ -94,8 +94,37 @@ TEST(MptcpAgent, PrimaryEstablishmentRecordsHandshake) {
   const auto r = run_mptcp_flow(sim, basic_setup(), spec(PathId::kLte), 10'000,
                                 Direction::kDownload);
   // LTE one-way delay is 30 ms: the primary handshake takes >= 60 ms.
-  EXPECT_GE(r.primary_established.usec(), msec(60).usec());
-  EXPECT_LT(r.primary_established.usec(), msec(80).usec());
+  EXPECT_GE(r.syn_rtt.usec(), msec(60).usec());
+  EXPECT_LT(r.syn_rtt.usec(), msec(80).usec());
+}
+
+// The twin of RunBulkFlow.TimeoutReportsIncomplete: with both paths
+// dead nothing ever moves, so the watchdog fires at the stall limit,
+// which an unset limit puts at the timeout itself.
+TEST(RunMptcpFlow, TimeoutReportsIncomplete) {
+  struct Case {
+    FlowOptions options;
+    const char* reason;
+    std::int64_t max_stall_us;
+  };
+  const Case cases[] = {
+      {{}, "stall: no progress for 120000 ms", 120'000'000},
+      {{sec(5)}, "stall: no progress for 5000 ms", 5'000'000},
+      {{sec(120), sec(30)}, "stall: no progress for 30000 ms", 30'000'000},
+  };
+  MpNetworkSetup dead = basic_setup();
+  for (LinkSpec* link : {&dead.wifi_up, &dead.wifi_down, &dead.lte_up, &dead.lte_down}) {
+    link->loss_rate = 1.0;
+  }
+  for (const Case& c : cases) {
+    Simulator sim;
+    const auto r =
+        run_mptcp_flow(sim, dead, MptcpSpec{}, 1'000'000, Direction::kDownload, c.options);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.completion_time.usec(), c.options.timeout.usec());
+    EXPECT_EQ(r.failure_reason, c.reason);
+    EXPECT_EQ(r.max_stall.usec(), c.max_stall_us);
+  }
 }
 
 TEST(MptcpAgent, DataLevelTimelineIsMonotone) {

@@ -21,7 +21,7 @@ LinkSpec mk(double mbps, Duration delay, int queue = 64) {
 
 MptcpFlowResult run(const MpNetworkSetup& net, MptcpSpec spec, std::int64_t bytes) {
   Simulator sim;
-  return run_mptcp_flow(sim, net, spec, bytes, Direction::kDownload, sec(120));
+  return run_mptcp_flow(sim, net, spec, bytes, Direction::kDownload);
 }
 
 std::int64_t subflow_bytes(const MptcpFlowResult& r, int subflow) {

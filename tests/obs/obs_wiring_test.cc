@@ -46,7 +46,7 @@ TEST(ObsWiring, BulkFlowPopulatesEveryLayerOfTheHub) {
   sim.set_obs(&hub);
   DuplexPath path{sim, fixed_link(10.0, msec(10)), fixed_link(10.0, msec(10))};
   const auto result = run_bulk_flow(sim, path, 200'000, Direction::kDownload,
-                                    reno_factory(), BulkFlowOptions{});
+                                    {sec(120), sec(30)});
   ASSERT_TRUE(result.completed);
 
   const auto snap = hub.snapshot();
@@ -80,8 +80,7 @@ TEST(ObsWiring, QueueOverflowDropsAreCounted) {
   // Tiny queue on a slow link: slow start will overrun it.
   DuplexPath path{sim, fixed_link(1.0, msec(5), /*queue=*/4),
                   fixed_link(1.0, msec(5), /*queue=*/4)};
-  (void)run_bulk_flow(sim, path, 300'000, Direction::kDownload, reno_factory(),
-                      BulkFlowOptions{});
+  (void)run_bulk_flow(sim, path, 300'000, Direction::kDownload, {sec(120), sec(30)});
   const auto snap = hub.snapshot();
   EXPECT_GT(snap.value_of("drop.queue_overflow"), 0);
   EXPECT_EQ(snap.value_of("drop.random_loss"), 0);
@@ -94,8 +93,7 @@ TEST(ObsWiring, RandomLossDropsAreCounted) {
   sim.set_obs(&hub);
   DuplexPath path{sim, fixed_link(10.0, msec(5), 64, /*loss=*/0.05),
                   fixed_link(10.0, msec(5), 64, /*loss=*/0.05)};
-  (void)run_bulk_flow(sim, path, 200'000, Direction::kDownload, reno_factory(),
-                      BulkFlowOptions{});
+  (void)run_bulk_flow(sim, path, 200'000, Direction::kDownload, {sec(120), sec(30)});
   EXPECT_GT(hub.snapshot().value_of("drop.random_loss"), 0);
 }
 
@@ -156,7 +154,7 @@ TEST(ObsWiring, MptcpFlowRecordsSchedulerGrantsOnBothSubflows) {
       symmetric_setup(fixed_link(8.0, msec(15)), fixed_link(6.0, msec(30)));
   MptcpSpec spec;  // Full-MPTCP, both subflows carry data
   const auto result = run_mptcp_flow(sim, setup, spec, 400'000, Direction::kDownload,
-                                     FlowRunOptions{});
+                                     {sec(120), sec(30)});
   ASSERT_TRUE(result.completed);
   const auto snap = hub.snapshot();
   EXPECT_GT(snap.value_of("mptcp.sched_grants_sf0"), 0);
@@ -224,8 +222,7 @@ TEST(ObsWiring, InstrumentedHotPathsNeverFallBackToHeap) {
     Simulator sim;
     sim.set_obs(&hub);
     DuplexPath path{sim, fixed_link(10.0, msec(10)), fixed_link(10.0, msec(10))};
-    (void)run_bulk_flow(sim, path, 200'000, Direction::kDownload, reno_factory(),
-                        BulkFlowOptions{});
+    (void)run_bulk_flow(sim, path, 200'000, Direction::kDownload, {sec(120), sec(30)});
   }
   {
     Simulator sim;
@@ -233,7 +230,7 @@ TEST(ObsWiring, InstrumentedHotPathsNeverFallBackToHeap) {
     const MpNetworkSetup setup =
         symmetric_setup(fixed_link(8.0, msec(15)), fixed_link(6.0, msec(30)));
     (void)run_mptcp_flow(sim, setup, MptcpSpec{}, 200'000, Direction::kDownload,
-                         FlowRunOptions{});
+                         {sec(120), sec(30)});
   }
   EXPECT_EQ(inplace_function_heap_fallbacks(), before);
   // The hub republishes the process-wide count as a gauge at snapshot time.

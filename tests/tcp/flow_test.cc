@@ -68,15 +68,38 @@ TEST(RunBulkFlow, TraceDrivenLinkWorks) {
   EXPECT_LT(r.throughput_mbps, 12.5);
 }
 
+// Which limit stops a flow that cannot finish, and the stall it saw.
+// A dead uplink loses the SYN, so nothing ever moves; a dead downlink
+// loses only the SYN-ACK, and the server's move to SYN-RCVD ~10 ms in is
+// the last progress.  Unset stall limits equal the timeout, which the
+// deadline reaches first unless nothing moved at all.
 TEST(RunBulkFlow, TimeoutReportsIncomplete) {
-  Simulator sim;
-  LinkSpec dead = mk(10, msec(10));
-  dead.loss_rate = 1.0;
-  DuplexPath path{sim, dead, mk(10, msec(10))};
-  const auto r =
-      run_bulk_flow(sim, path, 1'000'000, Direction::kDownload, reno_factory(), sec(5));
-  EXPECT_FALSE(r.completed);
-  EXPECT_EQ(r.completion_time.usec(), sec(5).usec());
+  struct Case {
+    bool dead_uplink;
+    FlowOptions options;
+    const char* reason;
+    std::int64_t max_stall_us;
+  };
+  const Case cases[] = {
+      {true, {}, "stall: no progress for 120000 ms", 120'000'000},
+      {true, {sec(5)}, "stall: no progress for 5000 ms", 5'000'000},
+      {true, {sec(120), sec(30)}, "stall: no progress for 30000 ms", 30'000'000},
+      {false, {}, "timeout", 119'989'968},
+      {false, {sec(5)}, "timeout", 4'989'968},
+      {false, {sec(120), sec(30)}, "stall: no progress for 30000 ms", 30'000'000},
+  };
+  for (const Case& c : cases) {
+    Simulator sim;
+    LinkSpec dead = mk(10, msec(10));
+    dead.loss_rate = 1.0;
+    DuplexPath path{sim, c.dead_uplink ? dead : mk(10, msec(10)),
+                    c.dead_uplink ? mk(10, msec(10)) : dead};
+    const auto r = run_bulk_flow(sim, path, 1'000'000, Direction::kDownload, c.options);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.completion_time.usec(), c.options.timeout.usec());
+    EXPECT_EQ(r.failure_reason, c.reason);
+    EXPECT_EQ(r.max_stall.usec(), c.max_stall_us);
+  }
 }
 
 TEST(RunBulkFlow, SequentialFlowsOnSameSimulator) {
@@ -84,8 +107,7 @@ TEST(RunBulkFlow, SequentialFlowsOnSameSimulator) {
   DuplexPath path1{sim, mk(20, msec(10)), mk(20, msec(10))};
   const auto r1 = run_bulk_flow(sim, path1, 100'000, Direction::kDownload);
   DuplexPath path2{sim, mk(20, msec(10)), mk(20, msec(10))};
-  const auto r2 = run_bulk_flow(sim, path2, 100'000, Direction::kDownload,
-                                reno_factory(), sec(120), /*connection_id=*/2);
+  const auto r2 = run_bulk_flow(sim, path2, 100'000, Direction::kDownload);
   EXPECT_TRUE(r1.completed);
   EXPECT_TRUE(r2.completed);
   // Same conditions, same protocol: identical completion times.

@@ -74,7 +74,7 @@ std::string flow_signature(const FlowResult& r) {
 std::string mptcp_signature(const MptcpFlowResult& r) {
   std::ostringstream out;
   out << r.completed << "|" << r.completion_time.usec() << "|"
-      << r.primary_established.usec() << "|" << r.max_stall.usec() << "|" << r.achieved_mp
+      << r.syn_rtt.usec() << "|" << r.max_stall.usec() << "|" << r.achieved_mp
       << "|" << std::hex << timeline_digest(r.timeline) << "|"
       << timeline_digest(r.subflow_timelines[0]) << "|"
       << timeline_digest(r.subflow_timelines[1]);
