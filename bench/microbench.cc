@@ -98,7 +98,7 @@ void BM_TraceCursorDrain(benchmark::State& state) {
     Simulator sim;
     TraceLink link{sim, trace, n};
     std::int64_t delivered = 0;
-    link.set_next([&delivered](Packet p) { delivered += p.payload; });
+    link.set_next([&delivered](const Packet& p) { delivered += p.payload; });
     for (int i = 0; i < n; ++i) {
       Packet p;
       p.payload = 1448;
@@ -117,7 +117,7 @@ void BM_TraceLinkDrain(benchmark::State& state) {
     Simulator sim;
     TraceLink link{sim, trace, 1000};
     std::int64_t delivered = 0;
-    link.set_next([&delivered](Packet p) { delivered += p.payload; });
+    link.set_next([&delivered](const Packet& p) { delivered += p.payload; });
     for (int i = 0; i < 500; ++i) {
       Packet p;
       p.payload = 1448;

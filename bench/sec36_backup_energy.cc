@@ -28,7 +28,7 @@ double lte_radio_energy(MpMode mode, std::int64_t bytes, double horizon_s) {
     std::cerr << "WARNING: " << to_string(mode) << " flow of " << bytes
               << " bytes timed out; energy below covers a truncated flow\n";
   }
-  return bed.radio_energy_joules(PathId::kLte, TimePoint{secs_f(horizon_s).usec()});
+  return bed.meter(PathId::kLte).radio_energy_joules(TimePoint{secs_f(horizon_s).usec()});
 }
 
 }  // namespace

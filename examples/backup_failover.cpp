@@ -45,12 +45,8 @@ int main() {
 
   // Energy accounting for both radios over the session + tail.
   const TimePoint horizon = sim.now() + sec(20);
-  EnergyMeter lte_meter{lte_power_params()};
-  for (const auto& e : bed.events(PathId::kLte)) lte_meter.add_activity(e.t);
-  EnergyMeter wifi_meter{wifi_power_params()};
-  for (const auto& e : bed.events(PathId::kWifi)) wifi_meter.add_activity(e.t);
-  std::cout << "radio energy: LTE " << lte_meter.radio_energy_joules(horizon)
-            << " J, WiFi " << wifi_meter.radio_energy_joules(horizon) << " J\n"
+  std::cout << "radio energy: LTE " << bed.meter(PathId::kLte).radio_energy_joules(horizon)
+            << " J, WiFi " << bed.meter(PathId::kWifi).radio_energy_joules(horizon) << " J\n"
             << "(note the LTE SYN at t=0 already cost a 15 s tail before any data)\n";
   return 0;
 }

@@ -10,10 +10,10 @@ MpShell::MpShell(Simulator& sim, const MpNetworkSetup& setup) : sim_(sim) {
   ifaces_[1] = std::make_unique<NetworkInterface>("lte", sim, *lte_path_,
                                                   setup.lte_reports_carrier_loss);
   for (auto& iface : ifaces_) {
-    iface->set_receiver([this](Packet p) { client_mux_.dispatch(p); });
+    iface->set_receiver([this](const Packet& p) { client_mux_.dispatch(p); });
   }
-  wifi_path_->set_server_receiver([this](Packet p) { server_mux_.dispatch(p); });
-  lte_path_->set_server_receiver([this](Packet p) { server_mux_.dispatch(p); });
+  wifi_path_->set_server_receiver([this](const Packet& p) { server_mux_.dispatch(p); });
+  lte_path_->set_server_receiver([this](const Packet& p) { server_mux_.dispatch(p); });
 }
 
 MpShell::~MpShell() {
@@ -21,8 +21,8 @@ MpShell::~MpShell() {
   lte_path_->set_server_receiver({});
 }
 
-void MpShell::server_send(PathId path, Packet p) {
-  (path == PathId::kWifi ? wifi_path_ : lte_path_)->send_down(std::move(p));
+void MpShell::server_send(PathId path, const Packet& p) {
+  (path == PathId::kWifi ? wifi_path_ : lte_path_)->send_down(p);
 }
 
 namespace {
@@ -33,11 +33,11 @@ class TcpTransport final : public Transport {
       : shell_(shell), path_(path), conn_(conn), is_client_(is_client),
         ep_(shell.sim(), make_config(conn), std::make_unique<RenoCc>()) {
     if (is_client_) {
-      ep_.set_transmit([this](Packet p) { shell_.iface(path_).send(std::move(p)); });
-      shell_.client_mux().attach(conn_, 0, [this](Packet p) { ep_.handle_packet(p); });
+      ep_.set_transmit([this](const Packet& p) { shell_.iface(path_).send(p); });
+      shell_.client_mux().attach(conn_, 0, [this](const Packet& p) { ep_.handle_packet(p); });
     } else {
-      ep_.set_transmit([this](Packet p) { shell_.server_send(path_, std::move(p)); });
-      shell_.server_mux().attach(conn_, 0, [this](Packet p) { ep_.handle_packet(p); });
+      ep_.set_transmit([this](const Packet& p) { shell_.server_send(path_, p); });
+      shell_.server_mux().attach(conn_, 0, [this](const Packet& p) { ep_.handle_packet(p); });
     }
     ep_.on_established = [this] {
       if (on_established) on_established();
@@ -80,16 +80,12 @@ class MptcpTransport final : public Transport {
     for (int id = 0; id < 2; ++id) {
       const PathId path = agent_.subflow_path(id);
       if (is_client_) {
-        agent_.set_transmit(id, [this, path](Packet p) {
-          shell_.iface(path).send(std::move(p));
-        });
+        agent_.set_transmit(id, [this, path](const Packet& p) { shell_.iface(path).send(p); });
       } else {
-        agent_.set_transmit(id, [this, path](Packet p) {
-          shell_.server_send(path, std::move(p));
-        });
+        agent_.set_transmit(id, [this, path](const Packet& p) { shell_.server_send(path, p); });
       }
       PacketMux& mux = is_client_ ? shell_.client_mux() : shell_.server_mux();
-      mux.attach(conn_, id, [this](Packet p) { agent_.handle_packet(p); });
+      mux.attach(conn_, id, [this](const Packet& p) { agent_.handle_packet(p); });
     }
     agent_.on_established = [this] {
       if (on_established) on_established();

@@ -33,7 +33,7 @@ class MpShell {
   }
   [[nodiscard]] PacketMux& client_mux() { return client_mux_; }
   [[nodiscard]] PacketMux& server_mux() { return server_mux_; }
-  void server_send(PathId path, Packet p);
+  void server_send(PathId path, const Packet& p);
 
  private:
   Simulator& sim_;

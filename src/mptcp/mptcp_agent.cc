@@ -70,9 +70,9 @@ void MptcpAgent::set_transmit(int subflow_id, PacketHandler transmit) {
 void MptcpAgent::install_transmit(int id) {
   // Separate from set_transmit so a recreated endpoint (join retry,
   // server-side resurrection) re-attaches to the slot's stored handler.
-  subflows_[static_cast<std::size_t>(id)].ep->set_transmit([this, id](Packet p) {
+  subflows_[static_cast<std::size_t>(id)].ep->set_transmit([this, id](const Packet& p) {
     Subflow& owner = subflows_[static_cast<std::size_t>(id)];
-    if (owner.transmit) owner.transmit(std::move(p));
+    if (owner.transmit) owner.transmit(p);
   });
 }
 

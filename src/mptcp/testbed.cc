@@ -16,7 +16,7 @@ MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte) {
 }
 
 MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec)
-    : sim_(sim), meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
+    : sim_(sim) {
   wifi_path_ = std::make_unique<DuplexPath>(sim, setup.wifi_up, setup.wifi_down);
   lte_path_ = std::make_unique<DuplexPath>(sim, setup.lte_up, setup.lte_down);
   ifaces_[0] = std::make_unique<NetworkInterface>("wifi", sim, *wifi_path_,
@@ -30,14 +30,14 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
   for (int id = 0; id < 2; ++id) {
     const PathId path = client_->subflow_path(id);
     NetworkInterface* iface = ifaces_[static_cast<std::size_t>(path)].get();
-    client_->set_transmit(id, [iface](Packet p) { iface->send(std::move(p)); });
+    client_->set_transmit(id, [iface](const Packet& p) { iface->send(p); });
     DuplexPath* dp = (path == PathId::kWifi) ? wifi_path_.get() : lte_path_.get();
-    server_->set_transmit(id, [dp](Packet p) { dp->send_down(std::move(p)); });
+    server_->set_transmit(id, [dp](const Packet& p) { dp->send_down(p); });
   }
   // All client-bound traffic funnels into the client agent (subflow_id in
   // the packet selects the endpoint); same on the server.
   for (auto& iface : ifaces_) {
-    iface->set_receiver([this](Packet p) { client_->handle_packet(p); });
+    iface->set_receiver([this](const Packet& p) { client_->handle_packet(p); });
     iface->set_receiver_batch([this](std::span<Packet> ps) {
       client_->on_packets({ps.data(), ps.size()});
     });
@@ -45,8 +45,8 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
   // The client side installs taps below, which forces its interfaces
   // onto the per-packet path; the untapped server side takes each
   // tick's deliveries as one span.
-  wifi_path_->set_server_receiver([this](Packet p) { server_->handle_packet(p); });
-  lte_path_->set_server_receiver([this](Packet p) { server_->handle_packet(p); });
+  wifi_path_->set_server_receiver([this](const Packet& p) { server_->handle_packet(p); });
+  lte_path_->set_server_receiver([this](const Packet& p) { server_->handle_packet(p); });
   wifi_path_->set_server_receiver_batch(
       [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
   lte_path_->set_server_receiver_batch(
@@ -57,13 +57,12 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
     const auto path = static_cast<PathId>(pi);
     ifaces_[static_cast<std::size_t>(pi)]->add_state_listener(
         [this, path](bool up) { client_->notify_path_state(path, up); });
-    // Packet-event taps (Figure 15 / energy model).  The same events
-    // feed the per-radio energy meters first-class.
+    // Packet-event taps (Figure 15 / energy model: meter() reads the
+    // same events).
     ifaces_[static_cast<std::size_t>(pi)]->set_tap(
         [this, pi](TimePoint t, PacketDir dir, const Packet& p) {
           events_[static_cast<std::size_t>(pi)].push_back(
               PacketEvent{t, dir, p.flags, p.payload});
-          meters_[static_cast<std::size_t>(pi)].add_activity(t);
         });
   }
 }
@@ -73,6 +72,12 @@ MptcpTestbed::~MptcpTestbed() {
   lte_path_->set_server_receiver({});
   wifi_path_->set_server_receiver_batch({});
   lte_path_->set_server_receiver_batch({});
+}
+
+EnergyMeter MptcpTestbed::meter(PathId path) const {
+  EnergyMeter m{path == PathId::kWifi ? wifi_power_params() : lte_power_params()};
+  for (const PacketEvent& e : events(path)) m.add_activity(e.t);
+  return m;
 }
 
 void MptcpTestbed::start_transfer(std::int64_t bytes, Direction dir) {
@@ -170,11 +175,13 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
   // (15 s after the FIN) is fully charged to the flow that caused it.
   result.scheduler = spec.scheduler;
   const TimePoint energy_horizon = sim.now() + sec(20);
-  result.energy_wifi_j = bed.radio_energy_joules(PathId::kWifi, energy_horizon);
-  result.energy_lte_j = bed.radio_energy_joules(PathId::kLte, energy_horizon);
+  const EnergyMeter wifi = bed.meter(PathId::kWifi);
+  const EnergyMeter lte = bed.meter(PathId::kLte);
+  result.energy_wifi_j = wifi.radio_energy_joules(energy_horizon);
+  result.energy_lte_j = lte.radio_energy_joules(energy_horizon);
   if (auto* o = sim.obs()) {
-    bed.meter(PathId::kWifi).publish(*o, energy_horizon, /*radio_id=*/0);
-    bed.meter(PathId::kLte).publish(*o, energy_horizon, /*radio_id=*/1);
+    wifi.publish(*o, energy_horizon, /*radio_id=*/0);
+    lte.publish(*o, energy_horizon, /*radio_id=*/1);
   }
 
   // Negotiation outcome: the client (active opener) is authoritative —

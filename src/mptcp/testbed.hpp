@@ -64,17 +64,11 @@ class MptcpTestbed {
   [[nodiscard]] const std::vector<PacketEvent>& events(PathId path) const {
     return events_[static_cast<std::size_t>(path)];
   }
-  /// First-class radio energy: every packet crossing a client interface
-  /// feeds that radio's EnergyMeter (Figure-16 parameters), so per-radio
-  /// joules are available on any testbed run without re-deriving them
-  /// from the event lists.
-  [[nodiscard]] const EnergyMeter& meter(PathId path) const {
-    return meters_[static_cast<std::size_t>(path)];
-  }
-  /// Radio energy above base load over [0, horizon], in joules.
-  [[nodiscard]] double radio_energy_joules(PathId path, TimePoint horizon) const {
-    return meter(path).radio_energy_joules(horizon);
-  }
+  /// First-class radio energy: that radio's EnergyMeter (Figure-16
+  /// parameters), built on each call from the packet events recorded at
+  /// its client interface.  Build it once and reuse it for several
+  /// queries.
+  [[nodiscard]] EnergyMeter meter(PathId path) const;
 
   /// Begin a bulk transfer: server.listen + client.connect + data enqueue.
   void start_transfer(std::int64_t bytes, Direction dir);
@@ -103,8 +97,7 @@ class MptcpTestbed {
   std::array<std::unique_ptr<NetworkInterface>, 2> ifaces_;  // index = PathId
   std::unique_ptr<MptcpAgent> client_;
   std::unique_ptr<MptcpAgent> server_;
-  std::array<std::vector<PacketEvent>, 2> events_;
-  std::array<EnergyMeter, 2> meters_;  // index = PathId
+  std::array<std::vector<PacketEvent>, 2> events_;  // index = PathId
 };
 
 /// Result of one MPTCP bulk flow: the single-path result (syn_rtt is

@@ -32,9 +32,9 @@ DelayBox::DelayBox(Simulator& sim, Duration delay) : sim_(sim), delay_(delay) {
   sink_ = sim_.register_sink([this](SinkSpan idxs) { deliver_batch(idxs); });
 }
 
-void DelayBox::accept(Packet p) {
+void DelayBox::accept(const Packet& p) {
   ++counters_.accepted;
-  const std::uint32_t idx = pool_.put(std::move(p));
+  const std::uint32_t idx = pool_.put(p);
   sim_.schedule_item_after(delay_, sink_, idx);
 }
 
@@ -54,23 +54,25 @@ void DelayBox::deliver_batch(SinkSpan idxs) {
     return;
   }
   for (const std::uint64_t idx : idxs) {
-    Packet p = pool_.take(static_cast<std::uint32_t>(idx));
+    // Take into a local: forward() may re-enter accept(), whose put()
+    // can reuse or reallocate the slot.
+    const Packet p = pool_.take(static_cast<std::uint32_t>(idx));
     note_deliver(p);
-    forward(std::move(p));
+    forward(p);
   }
 }
 
-void LossBox::accept(Packet p) {
+void LossBox::accept(const Packet& p) {
   ++counters_.accepted;
   if (rng_.chance(loss_rate_)) {
     ++counters_.dropped;
     note_drop(obs::DropCause::kRandomLoss, p);
     return;
   }
-  forward(std::move(p));
+  forward(p);
 }
 
-void GilbertElliottLossBox::accept(Packet p) {
+void GilbertElliottLossBox::accept(const Packet& p) {
   ++counters_.accepted;
   if (enabled_) {
     // Step the chain first, then draw the loss from the new state: a
@@ -86,7 +88,7 @@ void GilbertElliottLossBox::accept(Packet p) {
       return;
     }
   }
-  forward(std::move(p));
+  forward(p);
 }
 
 void GilbertElliottLossBox::set_spec(const GeLossSpec& spec) {
@@ -100,16 +102,16 @@ void GilbertElliottLossBox::disable() {
   bad_ = false;
 }
 
-void ReorderBox::accept(Packet p) {
+void ReorderBox::accept(const Packet& p) {
   ++counters_.accepted;
   if (rng_.chance(probability_)) {
     const Duration jitter{static_cast<std::int64_t>(
         rng_.uniform(0.5, 1.5) * static_cast<double>(extra_delay_.usec()))};
-    const std::uint32_t idx = pool_.put(std::move(p));
+    const std::uint32_t idx = pool_.put(p);
     sim_.schedule_after(jitter, [this, idx] { forward(pool_.take(idx)); });
     return;
   }
-  forward(std::move(p));
+  forward(p);
 }
 
 RateLink::RateLink(Simulator& sim, double mbps, int queue_packets)
@@ -144,7 +146,7 @@ void RateLink::set_rate(double mbps) {
       sim_.schedule_item_after(transmission_time(head_wire_bytes_, mbps_), sink_, 0);
 }
 
-void RateLink::accept(Packet p) {
+void RateLink::accept(const Packet& p) {
   ++counters_.accepted;
   if (queue_.size() >= static_cast<std::size_t>(queue_limit_)) {
     ++counters_.dropped;
@@ -152,7 +154,7 @@ void RateLink::accept(Packet p) {
     return;
   }
   note_enqueue(p, static_cast<std::int64_t>(queue_.size()) + 1);
-  queue_.push_back(std::move(p));
+  queue_.push_back(p);
   if (!sending_) begin_head();
 }
 
@@ -166,10 +168,11 @@ void RateLink::begin_head() {
 
 void RateLink::finish_head() {
   sending_ = false;
-  Packet p = queue_.pop_front();
-  forward(std::move(p));
-  // forward() can synchronously re-enter accept() (tight loopback
-  // wiring), which may have restarted the serializer already.
+  // Pop into a local before forwarding: forward() can synchronously
+  // re-enter accept() (tight loopback wiring), whose push_back may grow
+  // the ring and may have restarted the serializer already.
+  const Packet p = queue_.pop_front();
+  forward(p);
   if (!sending_ && !queue_.empty()) begin_head();
 }
 
@@ -185,7 +188,7 @@ TraceLink::TraceLink(Simulator& sim, TracePtr trace, int queue_packets)
   });
 }
 
-void TraceLink::accept(Packet p) {
+void TraceLink::accept(const Packet& p) {
   ++counters_.accepted;
   if (queue_.size() >= static_cast<std::size_t>(queue_limit_)) {
     ++counters_.dropped;
@@ -193,7 +196,7 @@ void TraceLink::accept(Packet p) {
     return;
   }
   note_enqueue(p, static_cast<std::int64_t>(queue_.size()) + 1);
-  queue_.push_back(std::move(p));
+  queue_.push_back(p);
   arm_drain();
 }
 

@@ -32,10 +32,15 @@
 namespace mn {
 
 /// Inter-stage handler: set once at wiring time, invoked per packet.
+/// The packet is passed by reference and is valid only for the duration
+/// of the call; a stage that keeps it (a queue, a flight pool) copies
+/// it.  Callers never hand down a reference into storage the callee can
+/// change: forward() may re-enter accept() on the same stage, so a stage
+/// pops a queued packet into a local before forwarding it.
 /// Inline capacity is generous (128 bytes) because handlers are
 /// long-lived closures, not per-event state — but they still must not
 /// allocate, so the figure benches can assert a zero fallback count.
-using PacketHandler = InplaceFunction<void(Packet), 128>;
+using PacketHandler = InplaceFunction<void(const Packet&), 128>;
 
 /// Batch variant of the inter-stage handler: one call per delivery
 /// sweep, carrying every packet the stage released this tick in
@@ -56,14 +61,14 @@ struct StageCounters {
 /// is torn down with it).
 class FlightPool {
  public:
-  std::uint32_t put(Packet p) {
+  std::uint32_t put(const Packet& p) {
     if (free_.empty()) {
-      slots_.push_back(std::move(p));
+      slots_.push_back(p);
       return static_cast<std::uint32_t>(slots_.size() - 1);
     }
     const std::uint32_t idx = free_.back();
     free_.pop_back();
-    slots_[idx] = std::move(p);
+    slots_[idx] = p;
     return idx;
   }
   Packet take(std::uint32_t idx) {
@@ -91,9 +96,9 @@ class PacketRing {
   [[nodiscard]] Packet& front() { return buf_[head_]; }
   [[nodiscard]] const Packet& front() const { return buf_[head_]; }
 
-  void push_back(Packet p) {
+  void push_back(const Packet& p) {
     if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(p);
+    buf_[(head_ + size_) & (buf_.size() - 1)] = p;
     ++size_;
   }
   Packet pop_front() {
@@ -126,7 +131,7 @@ class PacketStage {
   PacketStage& operator=(const PacketStage&) = delete;
   virtual ~PacketStage() = default;
 
-  virtual void accept(Packet p) = 0;
+  virtual void accept(const Packet& p) = 0;
   void set_next(PacketHandler next) { next_ = std::move(next); }
 
   /// Bind the stage to its simulator for observability: drops, enqueues
@@ -144,9 +149,9 @@ class PacketStage {
   [[nodiscard]] virtual std::int64_t queued_packets() const { return 0; }
 
  protected:
-  void forward(Packet p) {
+  void forward(const Packet& p) {
     ++counters_.delivered;
-    if (next_) next_(std::move(p));
+    if (next_) next_(p);
   }
   /// The installed hub, or null (stage unbound, or no hub on the sim).
   [[nodiscard]] obs::ObsHub* obs() const {
@@ -198,7 +203,7 @@ class PacketStage {
 class DelayBox final : public PacketStage {
  public:
   DelayBox(Simulator& sim, Duration delay);
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
   /// Install a batch receiver: takes precedence over the scalar
   /// set_next handler for whole-sweep delivery.  Pass {} to clear.
@@ -227,7 +232,7 @@ class DelayBox final : public PacketStage {
 class LossBox final : public PacketStage {
  public:
   LossBox(Rng rng, double loss_rate) : rng_(std::move(rng)), loss_rate_(loss_rate) {}
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
  private:
   Rng rng_;
@@ -251,7 +256,7 @@ class GilbertElliottLossBox final : public PacketStage {
  public:
   /// Constructed disabled (pure pass-through) until a spec is set.
   explicit GilbertElliottLossBox(std::uint64_t seed) : rng_(seed) {}
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
   /// Enable (or live-reconfigure) burst loss.  The chain restarts in the
   /// Good state; the RNG stream continues (no reseed mid-run).
@@ -278,7 +283,7 @@ class GilbertElliottLossBox final : public PacketStage {
 class RateLink final : public PacketStage {
  public:
   RateLink(Simulator& sim, double mbps, int queue_packets);
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
   [[nodiscard]] std::int64_t queued_packets() const override {
     return static_cast<std::int64_t>(queue_.size());
@@ -317,7 +322,7 @@ class ReorderBox final : public PacketStage {
         rng_(std::move(rng)),
         probability_(reorder_probability),
         extra_delay_(extra_delay) {}
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
  private:
   Simulator& sim_;
@@ -336,7 +341,7 @@ class ReorderBox final : public PacketStage {
 class TraceLink final : public PacketStage {
  public:
   TraceLink(Simulator& sim, TracePtr trace, int queue_packets);
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
 
   [[nodiscard]] std::int64_t queued_packets() const override {
     return static_cast<std::int64_t>(queue_.size());

@@ -21,12 +21,14 @@ void MiddleboxBox::disable() {
   mangle_dss_ = 0.0;
 }
 
-void MiddleboxBox::accept(Packet p) {
+void MiddleboxBox::accept(const Packet& in) {
   ++counters_.accepted;
   if (!enabled_) {
-    forward(std::move(p));
+    forward(in);
     return;
   }
+  // Enabled, the box may edit options, so it works on its own copy.
+  Packet p = in;
   if (p.flags.syn) {
     if (p.mp_option != MpOption::kNone) {
       if (drops_unknown_syn_) {
@@ -54,15 +56,15 @@ void MiddleboxBox::accept(Packet p) {
       note_dss_mangled();
     }
   }
-  forward(std::move(p));
+  forward(p);
 }
 
-void MiddleboxBox::accept_batch(std::span<Packet> ps) {
+void MiddleboxBox::accept_batch(std::span<const Packet> ps) {
   // Per-batch entry point.  The policy itself stays packet-by-packet —
   // the mangle draw must consume the RNG stream in arrival order for
   // determinism — so this is one call into the box per burst, not a
   // changed decision procedure.
-  for (Packet& p : ps) accept(std::move(p));
+  for (const Packet& p : ps) accept(p);
 }
 
 void MiddleboxBox::note_syn_stripped() {

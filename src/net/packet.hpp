@@ -2,8 +2,9 @@
 //
 // One struct serves plain TCP and MPTCP: MPTCP-only fields (data-level
 // sequence numbers, join/backup options) are simply unused by plain TCP.
-// Packets are passed by value — they are small and this keeps link
-// components free of ownership concerns.
+// Pipeline stages pass packets by const reference, valid only for the
+// call; a stage that keeps one (a queue, a flight pool) stores a copy,
+// so no stage owns another's packet (see PacketHandler in links.hpp).
 #pragma once
 
 #include <array>

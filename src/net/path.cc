@@ -13,7 +13,7 @@ OneWayPipe::OneWayPipe(Simulator& sim, const LinkSpec& spec) : sim_(sim) {
   }
   base_delay_ = spec.one_way_delay;
   delay_ = std::make_unique<DelayBox>(sim, base_delay_);
-  link_->set_next([d = delay_.get()](Packet p) { d->accept(std::move(p)); });
+  link_->set_next([d = delay_.get()](const Packet& p) { d->accept(p); });
   const std::uint64_t burst_seed =
       spec.burst_loss ? spec.burst_loss->seed : mix_seed(spec.loss_seed, "burst");
   burst_ = std::make_unique<GilbertElliottLossBox>(burst_seed);
@@ -46,21 +46,21 @@ void OneWayPipe::rewire() {
   // RNG streams are unaffected: disabled stages never draw.
   PacketStage* tail = link_.get();
   if (loss_) {
-    loss_->set_next([n = tail](Packet p) { n->accept(std::move(p)); });
+    loss_->set_next([n = tail](const Packet& p) { n->accept(p); });
     tail = loss_.get();
   }
   if (burst_->enabled()) {
-    burst_->set_next([n = tail](Packet p) { n->accept(std::move(p)); });
+    burst_->set_next([n = tail](const Packet& p) { n->accept(p); });
     tail = burst_.get();
   }
   if (mbox_->enabled()) {
-    mbox_->set_next([n = tail](Packet p) { n->accept(std::move(p)); });
+    mbox_->set_next([n = tail](const Packet& p) { n->accept(p); });
     tail = mbox_.get();
   }
   entry_ = tail;
 }
 
-void OneWayPipe::send(Packet p) {
+void OneWayPipe::send(const Packet& p) {
   if (blackholed_) {
     ++blackholed_drops_;
     if (auto* o = sim_.obs()) {
@@ -68,10 +68,10 @@ void OneWayPipe::send(Packet p) {
     }
     return;
   }
-  entry_->accept(std::move(p));
+  entry_->accept(p);
 }
 
-void OneWayPipe::send_batch(std::span<Packet> ps) {
+void OneWayPipe::send_batch(std::span<const Packet> ps) {
   if (blackholed_) {
     blackholed_drops_ += ps.size();
     if (auto* o = sim_.obs()) {
@@ -85,7 +85,7 @@ void OneWayPipe::send_batch(std::span<Packet> ps) {
     mbox_->accept_batch(ps);
     return;
   }
-  for (Packet& p : ps) entry_->accept(std::move(p));
+  for (const Packet& p : ps) entry_->accept(p);
 }
 
 void OneWayPipe::set_receiver(PacketHandler h) { delay_->set_next(std::move(h)); }
@@ -142,14 +142,14 @@ NetworkInterface::NetworkInterface(std::string name, Simulator& sim, DuplexPath&
       sim_(sim),
       path_(path),
       reports_carrier_loss_(reports_carrier_loss) {
-  path_.set_client_receiver([this](Packet p) {
+  path_.set_client_receiver([this](const Packet& p) {
     if (!up_) {  // radio is off/unplugged: nothing arrives
       ++rx_dropped_down_;
       note_down_drop(p);
       return;
     }
     if (tap_) tap_(sim_.now(), PacketDir::kReceived, p);
-    if (receiver_) receiver_(std::move(p));
+    if (receiver_) receiver_(p);
   });
   // Batched delivery: whole-span hand-off when the endpoint accepts
   // batches and no tap watches the interface; otherwise fall back to
@@ -165,21 +165,21 @@ NetworkInterface::NetworkInterface(std::string name, Simulator& sim, DuplexPath&
       batch_receiver_(ps);
       return;
     }
-    for (Packet& p : ps) {
+    for (const Packet& p : ps) {
       if (tap_) tap_(sim_.now(), PacketDir::kReceived, p);
-      if (receiver_) receiver_(std::move(p));
+      if (receiver_) receiver_(p);
     }
   });
 }
 
-void NetworkInterface::send(Packet p) {
+void NetworkInterface::send(const Packet& p) {
   if (!up_) {
     ++tx_dropped_down_;
     note_down_drop(p);
     return;
   }
   if (tap_) tap_(sim_.now(), PacketDir::kSent, p);
-  path_.send_up(std::move(p));
+  path_.send_up(p);
 }
 
 void NetworkInterface::note_down_drop(const Packet& p) {

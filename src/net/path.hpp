@@ -59,10 +59,10 @@ class OneWayPipe {
   OneWayPipe(const OneWayPipe&) = delete;
   OneWayPipe& operator=(const OneWayPipe&) = delete;
 
-  void send(Packet p);
+  void send(const Packet& p);
   /// Feed a whole burst through the pipe entry in one call (the batch
   /// counterpart of send(); one blackhole check for the burst).
-  void send_batch(std::span<Packet> ps);
+  void send_batch(std::span<const Packet> ps);
   void set_receiver(PacketHandler h);
   /// Batch receiver: every packet the pipe delivers in one tick arrives
   /// as a single span (delivery order preserved).  Takes precedence
@@ -148,11 +148,11 @@ class DuplexPath {
   DuplexPath(Simulator& sim, const LinkSpec& uplink, const LinkSpec& downlink);
 
   /// Client -> server direction.
-  void send_up(Packet p) { up_.send(std::move(p)); }
-  void send_up_batch(std::span<Packet> ps) { up_.send_batch(ps); }
+  void send_up(const Packet& p) { up_.send(p); }
+  void send_up_batch(std::span<const Packet> ps) { up_.send_batch(ps); }
   /// Server -> client direction.
-  void send_down(Packet p) { down_.send(std::move(p)); }
-  void send_down_batch(std::span<Packet> ps) { down_.send_batch(ps); }
+  void send_down(const Packet& p) { down_.send(p); }
+  void send_down_batch(std::span<const Packet> ps) { down_.send_batch(ps); }
   void set_server_receiver(PacketHandler h) { up_.set_receiver(std::move(h)); }
   void set_client_receiver(PacketHandler h) { down_.set_receiver(std::move(h)); }
   void set_server_receiver_batch(PacketBatchHandler h) {
@@ -198,7 +198,7 @@ class NetworkInterface {
   [[nodiscard]] bool is_up() const { return up_; }
 
   /// Client-side send; drops silently when the interface is down.
-  void send(Packet p);
+  void send(const Packet& p);
   /// Endpoint's receive hook (delivery is suppressed while down).
   void set_receiver(PacketHandler h);
   /// Batch receive hook: a tick's deliveries arrive as one span.  Used

@@ -57,25 +57,25 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   TcpEndpoint client{sim, TcpConfig{}, std::make_unique<RenoCc>()};
   TcpEndpoint server{sim, TcpConfig{}, std::make_unique<RenoCc>()};
   if (client_tap) {
-    client.set_transmit([&path, &client_tap, &sim](Packet p) {
+    client.set_transmit([&path, &client_tap, &sim](const Packet& p) {
       client_tap(sim.now(), PacketDir::kSent, p);
-      path.send_up(std::move(p));
+      path.send_up(p);
     });
-    path.set_client_receiver([&client, &client_tap, &sim](Packet p) {
+    path.set_client_receiver([&client, &client_tap, &sim](const Packet& p) {
       client_tap(sim.now(), PacketDir::kReceived, p);
       client.handle_packet(p);
     });
   } else {
-    client.set_transmit([&path](Packet p) { path.send_up(std::move(p)); });
-    path.set_client_receiver([&client](Packet p) { client.handle_packet(p); });
+    client.set_transmit([&path](const Packet& p) { path.send_up(p); });
+    path.set_client_receiver([&client](const Packet& p) { client.handle_packet(p); });
     // No tap watching: the pipe may hand a whole tick's deliveries over
     // as one span (a tap needs the per-packet path so its events
     // interleave with the endpoint's reaction in scalar order).
     path.set_client_receiver_batch(
         [&client](std::span<Packet> ps) { client.on_packets({ps.data(), ps.size()}); });
   }
-  server.set_transmit([&path](Packet p) { path.send_down(std::move(p)); });
-  path.set_server_receiver([&server](Packet p) { server.handle_packet(p); });
+  server.set_transmit([&path](const Packet& p) { path.send_down(p); });
+  path.set_server_receiver([&server](const Packet& p) { server.handle_packet(p); });
   path.set_server_receiver_batch(
       [&server](std::span<Packet> ps) { server.on_packets({ps.data(), ps.size()}); });
 
@@ -127,13 +127,13 @@ Duration measure_ping_rtt(Simulator& sim, DuplexPath& path, int count) {
   int completed = 0;
   // Echo server: bounce everything straight back (a same-tick burst
   // re-enters the reverse pipe as one batch).
-  path.set_server_receiver([&path](Packet p) { path.send_down(std::move(p)); });
+  path.set_server_receiver([&path](const Packet& p) { path.send_down(p); });
   path.set_server_receiver_batch(
       [&path](std::span<Packet> ps) { path.send_down_batch(ps); });
   for (int i = 0; i < count; ++i) {
     bool got = false;
     const TimePoint sent = sim.now();
-    path.set_client_receiver([&](Packet) {
+    path.set_client_receiver([&](const Packet&) {
       if (!got) {
         got = true;
         total += sim.now() - sent;
@@ -142,7 +142,7 @@ Duration measure_ping_rtt(Simulator& sim, DuplexPath& path, int count) {
     Packet ping;
     ping.connection_id = 0xEC40u;  // out-of-band marker; no endpoint routing
     ping.payload = 56;             // ICMP echo payload size
-    path.send_up(std::move(ping));
+    path.send_up(ping);
     const TimePoint deadline = sim.now() + sec(5);
     while (!got && sim.now() < deadline) {
       if (!sim.step()) break;

@@ -38,7 +38,7 @@ Packet TcpEndpoint::make_packet() const {
 
 void TcpEndpoint::transmit(Packet p) {
   p.sent_at = sim_.now();
-  if (transmit_) transmit_(std::move(p));
+  if (transmit_) transmit_(p);
 }
 
 void TcpEndpoint::connect() {

@@ -9,7 +9,7 @@ CellPort::CellPort(Simulator& sim, CellBase& cell, double phy_mbps, int queue_pa
 
 CellPort::~CellPort() { cell_.detach(station_); }
 
-void CellPort::accept(Packet p) {
+void CellPort::accept(const Packet& p) {
   ++counters_.accepted;
   if (queue_.size() >= static_cast<std::size_t>(queue_limit_)) {
     ++counters_.dropped;
@@ -17,7 +17,7 @@ void CellPort::accept(Packet p) {
     return;
   }
   note_enqueue(p, static_cast<std::int64_t>(queue_.size()) + 1);
-  queue_.push_back(std::move(p));
+  queue_.push_back(p);
   if (!cell_.is_attached(station_)) {
     // First byte after idle: join the contention set.  Service starts
     // one tick out (the cell's wake latency), like a radio waking up.
@@ -30,10 +30,11 @@ std::int64_t CellPort::on_grant(std::uint32_t /*tag*/, std::int64_t offered_byte
   std::int64_t used = offered_bytes;
   while (!queue_.empty() && queue_.front().wire_bytes() <= credit_) {
     credit_ -= queue_.front().wire_bytes();
-    Packet p = queue_.pop_front();
-    // forward() may synchronously re-enter accept() (tight loopback
-    // wiring); the queue/attach state is consistent before the call.
-    forward(std::move(p));
+    // Pop into a local: forward() may synchronously re-enter accept()
+    // (tight loopback wiring), whose push_back may grow the ring; the
+    // queue/attach state is consistent before the call.
+    const Packet p = queue_.pop_front();
+    forward(p);
   }
   if (queue_.empty()) {
     // Idle: refund the banked remainder (it may include carry from

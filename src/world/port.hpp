@@ -31,7 +31,7 @@ class CellPort final : public PacketStage, public GrantSink {
   CellPort(Simulator& sim, CellBase& cell, double phy_mbps, int queue_packets);
   ~CellPort() override;
 
-  void accept(Packet p) override;
+  void accept(const Packet& p) override;
   [[nodiscard]] std::int64_t queued_packets() const override {
     return static_cast<std::int64_t>(queue_.size());
   }

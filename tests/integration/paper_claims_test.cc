@@ -89,9 +89,7 @@ TEST(PaperClaims, BackupLteSavesLittleForShortFlows) {
     MptcpTestbed bed{sim, symmetric_setup(wifi, lte), spec};
     bed.start_transfer(2'000'000, Direction::kDownload);  // ~2-3 s flow
     EXPECT_TRUE(bed.run_until_finished(sec(60)));
-    EnergyMeter meter{lte_power_params()};
-    for (const auto& e : bed.events(PathId::kLte)) meter.add_activity(e.t);
-    return meter.radio_energy_joules(TimePoint{sec(60).usec()});
+    return bed.meter(PathId::kLte).radio_energy_joules(TimePoint{sec(60).usec()});
   };
   const double full = lte_energy(MpMode::kFull);
   const double backup = lte_energy(MpMode::kBackup);

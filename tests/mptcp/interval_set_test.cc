@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace mn {
@@ -86,28 +89,86 @@ TEST(IntervalSet, CoversEdgeCases) {
   EXPECT_FALSE(s.covers(15, 25));
 }
 
-// Property: total() equals brute-force coverage for random insertions.
+// Property: every query matches a brute-force bitmap after every add —
+// add's return value, total(), interval_count() (the maximal runs of the
+// bitmap), contiguous_from(k) and covers(a, b) at random points.  Two
+// insertion streams: wide random ranges, then short ranges that mostly
+// extend the in-order prefix (which bridges into runs that arrived
+// ahead of it), with holes, duplicates and re-fills that end exactly
+// where a run starts (the MPTCP receive pattern).  The query points come
+// from their own stream, so they never perturb the sequence of adds.
 class IntervalSetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IntervalSetFuzz, TotalMatchesBruteForce) {
+  constexpr std::int64_t kSpan = 1000;
   Rng rng{GetParam()};
+  Rng probe{mix_seed(GetParam(), "probe")};
   IntervalSet s;
-  std::vector<bool> covered(1000, false);
+  std::vector<bool> covered(kSpan, false);
+  const auto bit = [&](std::int64_t j) {
+    return j < kSpan && covered[static_cast<std::size_t>(j)];
+  };
+  const auto add_and_check = [&](std::int64_t lo, std::int64_t hi) {
+    std::int64_t fresh = 0;
+    for (std::int64_t j = lo; j < hi; ++j) {
+      fresh += !bit(j);
+      covered[static_cast<std::size_t>(j)] = true;
+    }
+    ASSERT_EQ(s.add(lo, hi), fresh) << "add [" << lo << "," << hi << ")";
+    std::int64_t expect = 0;
+    std::size_t runs = 0;
+    for (std::int64_t j = 0; j < kSpan; ++j) {
+      expect += bit(j);
+      runs += bit(j) && (j == 0 || !bit(j - 1));
+    }
+    ASSERT_EQ(s.total(), expect) << "after add [" << lo << "," << hi << ")";
+    ASSERT_EQ(s.interval_count(), runs) << "after add [" << lo << "," << hi << ")";
+    ASSERT_EQ(s.empty(), expect == 0);
+    for (int q = 0; q < 8; ++q) {
+      const std::int64_t k = q == 0 ? 0 : probe.uniform_int(0, kSpan);
+      std::int64_t run = 0;
+      while (bit(k + run)) ++run;
+      ASSERT_EQ(s.contiguous_from(k), run) << "contiguous_from(" << k << ")";
+      const auto a = probe.uniform_int(0, kSpan);
+      const auto b = probe.uniform_int(0, kSpan);
+      const auto from = std::min(a, b);
+      const auto to = q == 1 ? from : std::max(a, b);
+      bool all = true;
+      for (std::int64_t j = from; j < to; ++j) all = all && bit(j);
+      ASSERT_EQ(s.covers(from, to), all) << "covers(" << from << "," << to << ")";
+    }
+  };
   for (int i = 0; i < 200; ++i) {
     const auto a = rng.uniform_int(0, 999);
     const auto b = rng.uniform_int(0, 999);
-    const auto lo = std::min(a, b);
-    const auto hi = std::max(a, b);
-    s.add(lo, hi);
-    for (std::int64_t j = lo; j < hi; ++j) covered[static_cast<std::size_t>(j)] = true;
-    std::int64_t expect = 0;
-    for (bool c : covered) expect += c;
-    ASSERT_EQ(s.total(), expect) << "after add [" << lo << "," << hi << ")";
+    add_and_check(std::min(a, b), std::max(a, b));
+    if (HasFatalFailure()) return;
   }
-  // contiguous_from(0) equals the brute-force prefix run.
-  std::int64_t prefix = 0;
-  while (prefix < 1000 && covered[static_cast<std::size_t>(prefix)]) ++prefix;
-  EXPECT_EQ(s.contiguous_from(0), prefix);
+
+  s = IntervalSet{};
+  covered.assign(kSpan, false);
+  std::int64_t next = 0;  // first uncovered byte
+  while (next < kSpan) {
+    const auto len = rng.uniform_int(1, 40);
+    auto lo = rng.chance(0.7) ? next : rng.uniform_int(0, kSpan - 1);
+    auto hi = std::min(lo + len, kSpan);
+    if (rng.chance(0.2)) {
+      // End exactly where the next covered run starts, in the first gap
+      // at or after lo, so the add touches the interval on its right
+      // (and fills the gap, touching both sides, when it is short).
+      std::int64_t gap = lo;
+      while (gap < kSpan && bit(gap)) ++gap;
+      std::int64_t run = gap;
+      while (run < kSpan && !bit(run)) ++run;
+      if (run < kSpan) {
+        hi = run;
+        lo = std::max(gap, run - len);
+      }
+    }
+    add_and_check(lo, hi);
+    if (HasFatalFailure()) return;
+    while (bit(next)) ++next;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetFuzz, ::testing::Values(1, 7, 42, 99, 1234));

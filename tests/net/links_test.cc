@@ -367,5 +367,60 @@ TEST(DelayBox, BatchAndScalarDeliverIdenticalOrderAndTiming) {
   EXPECT_EQ(run(true), run(false));
 }
 
+// forward() may synchronously re-enter accept() on the same stage (tight
+// loopback wiring).  The next handler here hands the packet it was given
+// straight back to the link, twice for each of the first kEchoes
+// deliveries, so the ring grows while a delivery is in progress: the
+// reference a stage forwards must not point into its own queue.
+template <class Link>
+void expect_loopback_fifo(Simulator& sim, Link& link) {
+  constexpr std::size_t kInitial = 64;  // fills the ring's first allocation
+  constexpr std::size_t kEchoes = 40;
+  std::vector<std::int64_t> injected;
+  std::vector<std::int64_t> delivered;
+  const auto conserved = [&link] {
+    const StageCounters& c = link.counters();
+    return c.accepted ==
+           c.delivered + c.dropped + static_cast<std::uint64_t>(link.queued_packets());
+  };
+  const auto inject = [&](const Packet& p) {
+    injected.push_back(p.seq);
+    link.accept(p);
+  };
+  link.set_next([&](const Packet& p) {
+    delivered.push_back(p.seq);
+    EXPECT_TRUE(conserved()) << "mid-delivery " << delivered.size();
+    if (delivered.size() <= kEchoes) {
+      inject(p);
+      inject(p);
+    }
+  });
+  for (std::size_t i = 0; i < kInitial; ++i) {
+    Packet p = data_packet(360);
+    p.seq = static_cast<std::int64_t>(i);
+    inject(p);
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(injected.size(), kInitial + 2 * kEchoes);
+  EXPECT_EQ(delivered, injected);  // FIFO, one delivery per injection
+  EXPECT_EQ(link.counters().accepted, injected.size());
+  EXPECT_EQ(link.counters().dropped, 0u);
+  EXPECT_EQ(link.queued_packets(), 0);
+  EXPECT_TRUE(conserved());
+}
+
+TEST(RateLink, LoopbackReentryKeepsFifoAndConservation) {
+  Simulator sim;
+  RateLink link{sim, 12.0, 1000};
+  expect_loopback_fifo(sim, link);
+}
+
+TEST(TraceLink, LoopbackReentryKeepsFifoAndConservation) {
+  Simulator sim;
+  auto trace = std::make_shared<DeliveryTrace>(std::vector<Duration>{msec(1)}, msec(2));
+  TraceLink link{sim, trace, 1000};  // three 400-byte packets per opportunity
+  expect_loopback_fifo(sim, link);
+}
+
 }  // namespace
 }  // namespace mn
