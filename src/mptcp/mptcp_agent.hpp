@@ -17,7 +17,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "mptcp/mptcp.hpp"
@@ -41,12 +40,6 @@ class MptcpAgent final : public DataSource {
   void set_transmit(int subflow_id, PacketHandler transmit);
   /// Feed a packet that arrived for this connection (any subflow).
   void handle_packet(const Packet& p);
-  /// Batched receive: a whole delivery sweep in arrival order.  Wire
-  /// semantics are exactly per-packet handle_packet — batching changes
-  /// how packets reach the agent, never how it reacts to them.
-  void on_packets(std::span<const Packet> ps) {
-    for (const Packet& p : ps) handle_packet(p);
-  }
 
   // ---- control --------------------------------------------------------
   void connect();  // client: SYN on primary, join the other after

@@ -38,19 +38,9 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
   // the packet selects the endpoint); same on the server.
   for (auto& iface : ifaces_) {
     iface->set_receiver([this](const Packet& p) { client_->handle_packet(p); });
-    iface->set_receiver_batch([this](std::span<Packet> ps) {
-      client_->on_packets({ps.data(), ps.size()});
-    });
   }
-  // The client side installs taps below, which forces its interfaces
-  // onto the per-packet path; the untapped server side takes each
-  // tick's deliveries as one span.
   wifi_path_->set_server_receiver([this](const Packet& p) { server_->handle_packet(p); });
   lte_path_->set_server_receiver([this](const Packet& p) { server_->handle_packet(p); });
-  wifi_path_->set_server_receiver_batch(
-      [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
-  lte_path_->set_server_receiver_batch(
-      [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
 
   // Interface state changes drive MPTCP path management on the client.
   for (int pi = 0; pi < 2; ++pi) {
@@ -70,8 +60,6 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
 MptcpTestbed::~MptcpTestbed() {
   wifi_path_->set_server_receiver({});
   lte_path_->set_server_receiver({});
-  wifi_path_->set_server_receiver_batch({});
-  lte_path_->set_server_receiver_batch({});
 }
 
 EnergyMeter MptcpTestbed::meter(PathId path) const {

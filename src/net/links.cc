@@ -18,16 +18,6 @@ void PacketStage::note_deliver_slow(const Packet& p) {
   obs()->packet_delivered(obs_sim_->now(), p.wire_bytes());
 }
 
-void PacketStage::note_deliver_batch_slow(std::span<const Packet> ps) {
-  obs::ObsHub* o = obs();
-  o->count(o->ids().pkt_delivered, static_cast<std::int64_t>(ps.size()));
-  if (o->flight() != nullptr) {
-    for (const Packet& p : ps) {
-      o->record(obs_sim_->now(), obs::FlightEventType::kPktDeliver, 0, 0, p.wire_bytes());
-    }
-  }
-}
-
 DelayBox::DelayBox(Simulator& sim, Duration delay) : sim_(sim), delay_(delay) {
   sink_ = sim_.register_sink([this](SinkSpan idxs) { deliver_batch(idxs); });
 }
@@ -42,17 +32,6 @@ void DelayBox::deliver_batch(SinkSpan idxs) {
   // The DelayBox is the pipeline exit, so this is the one place packets
   // count as delivered by the pipe (kPktDeliver); per-stage forwards in
   // the middle of the pipe are not separately recorded.
-  if (batch_next_) {
-    // Whole-sweep path: reclaim every slot first, then one downstream
-    // call with the packets in delivery order.
-    counters_.delivered += idxs.size();
-    sweep_.clear();
-    for (const std::uint64_t idx : idxs)
-      sweep_.push_back(pool_.take(static_cast<std::uint32_t>(idx)));
-    note_deliver_batch(std::span<const Packet>{sweep_.data(), sweep_.size()});
-    batch_next_(std::span<Packet>{sweep_.data(), sweep_.size()});
-    return;
-  }
   for (const std::uint64_t idx : idxs) {
     // Take into a local: forward() may re-enter accept(), whose put()
     // can reuse or reallocate the slot.

@@ -11,15 +11,13 @@
 // queue (RateLink, TraceLink) or in a FlightPool slot (DelayBox,
 // ReorderBox), and the stage schedules a *sink item* — the bare slot
 // index, 8 bytes in the event's cold slot — instead of a closure.  The
-// simulator then hands a whole tick's worth of same-stage firings back
-// as one span (see Simulator sinks), which is what lets DelayBox drain
-// every same-tick delivery as a single contiguous sweep into one
-// downstream call.  ReorderBox keeps the classic {this, index} closure:
-// its jittered deliveries are rare and never batch.
+// simulator hands a whole tick's worth of same-stage firings back as
+// one span (see Simulator sinks); DelayBox walks it and forwards each
+// packet through the one per-packet handler.  ReorderBox keeps the
+// classic {this, index} closure: its jittered deliveries are rare.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,12 +39,6 @@ namespace mn {
 /// long-lived closures, not per-event state — but they still must not
 /// allocate, so the figure benches can assert a zero fallback count.
 using PacketHandler = InplaceFunction<void(const Packet&), 128>;
-
-/// Batch variant of the inter-stage handler: one call per delivery
-/// sweep, carrying every packet the stage released this tick in
-/// delivery order.  The span is mutable so the receiver may move the
-/// packets out; it is only valid for the duration of the call.
-using PacketBatchHandler = InplaceFunction<void(std::span<Packet>), 128>;
 
 struct StageCounters {
   std::uint64_t accepted = 0;
@@ -173,20 +165,12 @@ class PacketStage {
   void note_deliver(const Packet& p) {
     if (obs() != nullptr) [[unlikely]] note_deliver_slow(p);
   }
-  /// Batched delivery accounting: one counter add for the whole sweep.
-  /// With a flight recorder attached the per-packet ring events are
-  /// still emitted (in delivery order) so .mnfr dumps keep one record
-  /// per packet regardless of batch width.
-  void note_deliver_batch(std::span<const Packet> ps) {
-    if (obs() != nullptr) [[unlikely]] note_deliver_batch_slow(ps);
-  }
   StageCounters counters_;
 
  private:
   [[gnu::noinline, gnu::cold]] void note_drop_slow(obs::DropCause cause, const Packet& p);
   [[gnu::noinline, gnu::cold]] void note_enqueue_slow(const Packet& p, std::int64_t depth);
   [[gnu::noinline, gnu::cold]] void note_deliver_slow(const Packet& p);
-  [[gnu::noinline, gnu::cold]] void note_deliver_batch_slow(std::span<const Packet> ps);
 
   PacketHandler next_;
   const Simulator* obs_sim_ = nullptr;
@@ -196,18 +180,12 @@ class PacketStage {
 ///
 /// The pipeline exit.  Parked packets are simulator *sink items* (their
 /// FlightPool index), so every packet due at one tick arrives back as a
-/// single span and drains as one contiguous sweep.  With a batch
-/// handler installed (set_next_batch) the whole sweep is forwarded in
-/// ONE downstream call; otherwise it falls back to the per-packet
-/// scalar handler, preserving delivery order either way.
+/// single span of indices, which the box forwards one packet at a time
+/// in accept order.
 class DelayBox final : public PacketStage {
  public:
   DelayBox(Simulator& sim, Duration delay);
   void accept(const Packet& p) override;
-
-  /// Install a batch receiver: takes precedence over the scalar
-  /// set_next handler for whole-sweep delivery.  Pass {} to clear.
-  void set_next_batch(PacketBatchHandler next) { batch_next_ = std::move(next); }
 
   /// Change the propagation delay for packets accepted from now on
   /// (fault injection: delay spikes).  In-flight packets keep their
@@ -224,8 +202,6 @@ class DelayBox final : public PacketStage {
   Duration delay_;
   FlightPool pool_;
   SinkId sink_;
-  PacketBatchHandler batch_next_;
-  std::vector<Packet> sweep_;  // scratch for the batched forward
 };
 
 /// Independent (Bernoulli) packet loss.

@@ -59,14 +59,6 @@ void MiddleboxBox::accept(const Packet& in) {
   forward(p);
 }
 
-void MiddleboxBox::accept_batch(std::span<const Packet> ps) {
-  // Per-batch entry point.  The policy itself stays packet-by-packet —
-  // the mangle draw must consume the RNG stream in arrival order for
-  // determinism — so this is one call into the box per burst, not a
-  // changed decision procedure.
-  for (const Packet& p : ps) accept(p);
-}
-
 void MiddleboxBox::note_syn_stripped() {
   if (auto* o = obs()) o->count(o->ids().middlebox_syn_stripped);
 }

@@ -49,9 +49,6 @@ class MiddleboxBox final : public PacketStage {
   explicit MiddleboxBox(std::uint64_t seed = 0x6d626f78) : rng_(seed) {}
 
   void accept(const Packet& in) override;
-  /// Batch entry (see OneWayPipe::send_batch): one call per burst; the
-  /// per-packet policy and RNG draw order are identical to accept().
-  void accept_batch(std::span<const Packet> ps);
 
   /// Install (or replace) the middlebox policy: draws the box-level
   /// decisions from spec.seed and starts interfering with traffic.

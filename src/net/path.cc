@@ -71,28 +71,7 @@ void OneWayPipe::send(const Packet& p) {
   entry_->accept(p);
 }
 
-void OneWayPipe::send_batch(std::span<const Packet> ps) {
-  if (blackholed_) {
-    blackholed_drops_ += ps.size();
-    if (auto* o = sim_.obs()) {
-      for (const Packet& p : ps) {
-        o->packet_dropped(sim_.now(), obs::DropCause::kBlackhole, p.wire_bytes());
-      }
-    }
-    return;
-  }
-  if (entry_ == mbox_.get()) {
-    mbox_->accept_batch(ps);
-    return;
-  }
-  for (const Packet& p : ps) entry_->accept(p);
-}
-
 void OneWayPipe::set_receiver(PacketHandler h) { delay_->set_next(std::move(h)); }
-
-void OneWayPipe::set_receiver_batch(PacketBatchHandler h) {
-  delay_->set_next_batch(std::move(h));
-}
 
 bool OneWayPipe::set_rate_mbps(double mbps) {
   if (!rate_link_) return false;
@@ -151,25 +130,6 @@ NetworkInterface::NetworkInterface(std::string name, Simulator& sim, DuplexPath&
     if (tap_) tap_(sim_.now(), PacketDir::kReceived, p);
     if (receiver_) receiver_(p);
   });
-  // Batched delivery: whole-span hand-off when the endpoint accepts
-  // batches and no tap watches the interface; otherwise fall back to
-  // the per-packet loop above so tap events interleave with the
-  // endpoint's reaction exactly as scalar delivery would order them.
-  path_.set_client_receiver_batch([this](std::span<Packet> ps) {
-    if (!up_) {
-      rx_dropped_down_ += ps.size();
-      for (const Packet& p : ps) note_down_drop(p);
-      return;
-    }
-    if (!tap_ && batch_receiver_) {
-      batch_receiver_(ps);
-      return;
-    }
-    for (const Packet& p : ps) {
-      if (tap_) tap_(sim_.now(), PacketDir::kReceived, p);
-      if (receiver_) receiver_(p);
-    }
-  });
 }
 
 void NetworkInterface::send(const Packet& p) {
@@ -189,10 +149,6 @@ void NetworkInterface::note_down_drop(const Packet& p) {
 }
 
 void NetworkInterface::set_receiver(PacketHandler h) { receiver_ = std::move(h); }
-
-void NetworkInterface::set_receiver_batch(PacketBatchHandler h) {
-  batch_receiver_ = std::move(h);
-}
 
 void NetworkInterface::add_state_listener(std::function<void(bool)> listener) {
   listeners_.push_back(std::move(listener));

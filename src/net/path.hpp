@@ -60,14 +60,7 @@ class OneWayPipe {
   OneWayPipe& operator=(const OneWayPipe&) = delete;
 
   void send(const Packet& p);
-  /// Feed a whole burst through the pipe entry in one call (the batch
-  /// counterpart of send(); one blackhole check for the burst).
-  void send_batch(std::span<const Packet> ps);
   void set_receiver(PacketHandler h);
-  /// Batch receiver: every packet the pipe delivers in one tick arrives
-  /// as a single span (delivery order preserved).  Takes precedence
-  /// over set_receiver; pass {} to fall back to per-packet delivery.
-  void set_receiver_batch(PacketBatchHandler h);
 
   // ---- fault hooks ----------------------------------------------------
   /// Silent blackhole: packets entering the pipe vanish without error.
@@ -149,18 +142,10 @@ class DuplexPath {
 
   /// Client -> server direction.
   void send_up(const Packet& p) { up_.send(p); }
-  void send_up_batch(std::span<const Packet> ps) { up_.send_batch(ps); }
   /// Server -> client direction.
   void send_down(const Packet& p) { down_.send(p); }
-  void send_down_batch(std::span<const Packet> ps) { down_.send_batch(ps); }
   void set_server_receiver(PacketHandler h) { up_.set_receiver(std::move(h)); }
   void set_client_receiver(PacketHandler h) { down_.set_receiver(std::move(h)); }
-  void set_server_receiver_batch(PacketBatchHandler h) {
-    up_.set_receiver_batch(std::move(h));
-  }
-  void set_client_receiver_batch(PacketBatchHandler h) {
-    down_.set_receiver_batch(std::move(h));
-  }
 
   [[nodiscard]] OneWayPipe& uplink() { return up_; }
   [[nodiscard]] OneWayPipe& downlink() { return down_; }
@@ -201,11 +186,6 @@ class NetworkInterface {
   void send(const Packet& p);
   /// Endpoint's receive hook (delivery is suppressed while down).
   void set_receiver(PacketHandler h);
-  /// Batch receive hook: a tick's deliveries arrive as one span.  Used
-  /// only when no tap is installed (a tap interleaves per-packet with
-  /// the endpoint's reaction, so taps force the per-packet path to keep
-  /// the recorded order identical); pass {} to clear.
-  void set_receiver_batch(PacketBatchHandler h);
 
   void set_tap(InterfaceTap tap) { tap_ = std::move(tap); }
   /// Subscribe to up/down notifications (bool: new up-state).
@@ -237,7 +217,6 @@ class NetworkInterface {
   std::uint64_t tx_dropped_down_ = 0;
   std::uint64_t rx_dropped_down_ = 0;
   PacketHandler receiver_;
-  PacketBatchHandler batch_receiver_;
   InterfaceTap tap_;
   std::vector<std::function<void(bool)>> listeners_;
 };

@@ -27,10 +27,13 @@
 // touching the allocator (a 2.5 KB bitmap clear) after the first.
 //
 // The queue is a two-level timing wheel (times are integer
-// microseconds): level 0 is 16384 one-microsecond buckets (16.4 ms —
-// wide enough that RTT-scale events never leave it), level 1 is 4096
-// buckets of 4096 us (~16.8 s horizon), and events beyond that sit
-// in a small overflow min-heap.  Buckets are intrusive singly-linked
+// microseconds): level 0 is 16384 one-microsecond buckets (16.384 ms
+// ahead of the cursor), level 1 is 4096 buckets of 4096 us (16.78 s
+// ahead), and events beyond that sit in a small overflow min-heap.
+// Level 0 is narrower than many one-way delays: an event filed 16.384
+// ms or more ahead (a 16-65 ms propagation delay, an RTO timer) goes
+// to level 1 and cascades into level 0 later; in sec2_campaign that is
+// about a third of all events.  Buckets are intrusive singly-linked
 // lists threaded through the Meta slab (a push is: write meta.next,
 // write bucket head, set a bitmap bit — and its word's summary bit if
 // the word was empty), so schedule and fire are O(1) — no O(log n)

@@ -68,16 +68,9 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   } else {
     client.set_transmit([&path](const Packet& p) { path.send_up(p); });
     path.set_client_receiver([&client](const Packet& p) { client.handle_packet(p); });
-    // No tap watching: the pipe may hand a whole tick's deliveries over
-    // as one span (a tap needs the per-packet path so its events
-    // interleave with the endpoint's reaction in scalar order).
-    path.set_client_receiver_batch(
-        [&client](std::span<Packet> ps) { client.on_packets({ps.data(), ps.size()}); });
   }
   server.set_transmit([&path](const Packet& p) { path.send_down(p); });
   path.set_server_receiver([&server](const Packet& p) { server.handle_packet(p); });
-  path.set_server_receiver_batch(
-      [&server](std::span<Packet> ps) { server.on_packets({ps.data(), ps.size()}); });
 
   const TimePoint start = sim.now();
   FlowResult result;
@@ -117,19 +110,14 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   server.freeze();
   path.set_client_receiver({});
   path.set_server_receiver({});
-  path.set_client_receiver_batch({});
-  path.set_server_receiver_batch({});
   return result;
 }
 
 Duration measure_ping_rtt(Simulator& sim, DuplexPath& path, int count) {
   Duration total{0};
   int completed = 0;
-  // Echo server: bounce everything straight back (a same-tick burst
-  // re-enters the reverse pipe as one batch).
+  // Echo server: bounce everything straight back.
   path.set_server_receiver([&path](const Packet& p) { path.send_down(p); });
-  path.set_server_receiver_batch(
-      [&path](std::span<Packet> ps) { path.send_down_batch(ps); });
   for (int i = 0; i < count; ++i) {
     bool got = false;
     const TimePoint sent = sim.now();
@@ -151,7 +139,6 @@ Duration measure_ping_rtt(Simulator& sim, DuplexPath& path, int count) {
   }
   path.set_client_receiver({});
   path.set_server_receiver({});
-  path.set_server_receiver_batch({});
   if (completed == 0) return sec(5);
   return Duration{total.usec() / completed};
 }

@@ -16,15 +16,6 @@ void PacketMux::dispatch(const Packet& p) {
     it->second(p);
     return;
   }
-  if (p.flags.syn && !p.flags.ack && syn_listener_) {
-    syn_listener_(p);
-    // The listener may have attached an endpoint for this key; deliver.
-    const auto again = routes_.find(Key{p.connection_id, p.subflow_id});
-    if (again != routes_.end()) {
-      again->second(p);
-      return;
-    }
-  }
   ++unroutable_;
 }
 

@@ -1,11 +1,10 @@
 // Demultiplexing of packets arriving on a host: routes by
-// (connection_id, subflow_id) to the owning endpoint, with a listener
-// hook for SYNs that match no endpoint (how servers accept new
-// connections and MPTCP joins).
+// (connection_id, subflow_id) to the owning endpoint.  Callers attach
+// each endpoint before it connects or listens; a packet that matches no
+// endpoint, SYN or not, is counted as unroutable.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -23,13 +22,6 @@ class PacketMux {
   void attach(std::uint64_t conn, int subflow, PacketHandler handler);
   void detach(std::uint64_t conn, int subflow);
 
-  /// Called (before dropping) for any SYN that matches no endpoint.
-  /// The listener typically creates an endpoint, attaches it, and
-  /// re-dispatches the packet.
-  void set_syn_listener(std::function<void(const Packet&)> listener) {
-    syn_listener_ = std::move(listener);
-  }
-
   void dispatch(const Packet& p);
 
   [[nodiscard]] std::size_t endpoint_count() const { return routes_.size(); }
@@ -37,7 +29,6 @@ class PacketMux {
 
  private:
   std::map<Key, PacketHandler> routes_;
-  std::function<void(const Packet&)> syn_listener_;
   std::uint64_t unroutable_ = 0;
 };
 

@@ -20,7 +20,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -91,13 +90,6 @@ class TcpEndpoint {
   // ---- wiring --------------------------------------------------------
   void set_transmit(PacketHandler transmit) { transmit_ = std::move(transmit); }
   void handle_packet(const Packet& p);
-  /// Batched receive: process a span of packets delivered at one tick,
-  /// in order.  Wire behaviour is identical to calling handle_packet on
-  /// each element — every data packet still elicits its own ACK — so
-  /// scalar and batched dispatch produce byte-identical traces.
-  void on_packets(std::span<const Packet> ps) {
-    for (const Packet& p : ps) handle_packet(p);
-  }
 
   // ---- control -------------------------------------------------------
   void connect();  // active open (client)

@@ -76,8 +76,6 @@ struct WorldOptions {
   std::uint64_t seed = 20130901;
   /// Register per-cell gauges into an ObsHub on the cluster's sim.
   bool attach_obs = false;
-  /// false -> width-1 scalar dispatch (golden tests; results identical).
-  bool batch_dispatch = true;
   /// Worker threads for run_world: 0/1 = serial, negative = follow
   /// MN_THREADS.
   int parallelism = -1;

@@ -1,8 +1,8 @@
 // Golden scalar-vs-batched determinism: batch dispatch (sink spans in
-// the engine, sweep delivery in the net layer, on_packets() at the
-// endpoints) is a pure mechanism change — every observable output must
-// be byte-identical to scalar dispatch at any batch width, worker
-// count included.
+// the engine, which the net layer's DelayBox and the world's cells
+// walk item by item) is a pure mechanism change — every observable
+// output must be byte-identical to scalar dispatch at any batch width,
+// worker count included.
 //
 // Scalar mode is forced two ways, matching how users reach it:
 // set_batch_dispatch(false) on a simulator owned by the test, and the
@@ -78,9 +78,8 @@ TEST(BatchGolden, BulkTcpFlowIdenticalUnderScalarDispatch) {
 }
 
 TEST(BatchGolden, FaultedTcpFlowIdenticalUnderScalarDispatch) {
-  // Loss + a transparent-but-enabled middlebox: the batch path enters
-  // the pipe through accept_batch and the per-packet RNG draw order
-  // must survive the sweep.
+  // Loss + a transparent-but-enabled middlebox: the per-packet RNG
+  // draw order must not depend on how wide the DelayBox spans are.
   const auto run = [](bool batch) {
     Simulator sim;
     sim.set_batch_dispatch(batch);
@@ -117,8 +116,8 @@ TEST(BatchGolden, MptcpFlowIdenticalUnderScalarDispatch) {
 }
 
 TEST(BatchGolden, PingRttIdenticalUnderScalarDispatch) {
-  // The echo server bounces each burst back through send_down_batch —
-  // the one place a whole span re-enters a pipe in one call.
+  // The echo server re-sends each packet from inside the DelayBox's
+  // delivery span, so the reverse pipe is entered mid-span.
   const auto run = [](bool batch) {
     Simulator sim;
     sim.set_batch_dispatch(batch);

@@ -31,16 +31,25 @@ TEST(DelayBox, PreservesOrder) {
   Simulator sim;
   DelayBox box{sim, msec(10)};
   std::vector<std::int64_t> seqs;
-  box.set_next([&](Packet p) { seqs.push_back(p.seq); });
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule_at(TimePoint{i * 100}, [&box, i] {
+  std::vector<std::int64_t> times;
+  box.set_next([&](Packet p) {
+    seqs.push_back(p.seq);
+    times.push_back(sim.now().usec());
+  });
+  // Five packets on distinct ticks, then a burst of three on one tick:
+  // the burst comes due as one sink span and must leave in accept order.
+  std::int64_t seq = 0;
+  for (const std::int64_t at : {0, 100, 200, 300, 400, 500, 500, 500}) {
+    sim.schedule_at(TimePoint{at}, [&box, &seq] {
       Packet p;
-      p.seq = i;
+      p.seq = seq++;
       box.accept(std::move(p));
     });
   }
   sim.run_until_idle();
-  EXPECT_EQ(seqs, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(seqs, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(times, (std::vector<std::int64_t>{10000, 10100, 10200, 10300, 10400, 10500,
+                                              10500, 10500}));
 }
 
 TEST(LossBox, ZeroLossPassesEverything) {
@@ -302,69 +311,6 @@ TEST(PacketRing, FifoAcrossWrapAndGrowth) {
   EXPECT_EQ(ring.size(), static_cast<std::size_t>(pushed - popped));
   while (!ring.empty()) EXPECT_EQ(ring.pop_front().seq, popped++);
   EXPECT_EQ(popped, pushed);
-}
-
-TEST(DelayBox, BatchHandlerReceivesWholeTickSweepAsOneSpan) {
-  Simulator sim;
-  DelayBox box{sim, msec(5)};
-  std::vector<std::vector<std::int64_t>> sweeps;
-  box.set_next_batch([&](std::span<Packet> ps) {
-    std::vector<std::int64_t> seqs;
-    for (const Packet& p : ps) seqs.push_back(p.seq);
-    sweeps.push_back(std::move(seqs));
-  });
-  for (std::int64_t i = 0; i < 4; ++i) {
-    Packet p;
-    p.seq = i;
-    box.accept(std::move(p));  // all at t=0 -> all due at t=5ms
-  }
-  sim.run_until_idle();
-  ASSERT_EQ(sweeps.size(), 1u);
-  EXPECT_EQ(sweeps[0], (std::vector<std::int64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(box.counters().accepted, 4u);
-  EXPECT_EQ(box.counters().delivered, 4u);
-}
-
-TEST(DelayBox, BatchHandlerSplitsSweepsPerTick) {
-  Simulator sim;
-  DelayBox box{sim, msec(1)};
-  std::vector<std::size_t> widths;
-  box.set_next_batch([&](std::span<Packet> ps) { widths.push_back(ps.size()); });
-  const auto inject = [&sim, &box](std::int64_t at, int n) {
-    sim.schedule_at(TimePoint{at}, [&box, n] {
-      for (int i = 0; i < n; ++i) box.accept(Packet{});
-    });
-  };
-  inject(0, 3);
-  inject(200, 2);
-  sim.run_until_idle();
-  EXPECT_EQ(widths, (std::vector<std::size_t>{3, 2}));
-}
-
-TEST(DelayBox, BatchAndScalarDeliverIdenticalOrderAndTiming) {
-  const auto run = [](bool batched) {
-    Simulator sim;
-    DelayBox box{sim, msec(2)};
-    std::vector<std::pair<std::int64_t, std::int64_t>> trace;  // (time, seq)
-    if (batched) {
-      box.set_next_batch([&](std::span<Packet> ps) {
-        for (const Packet& p : ps) trace.emplace_back(sim.now().usec(), p.seq);
-      });
-    } else {
-      box.set_next([&](Packet p) { trace.emplace_back(sim.now().usec(), p.seq); });
-    }
-    std::int64_t seq = 0;
-    for (std::int64_t at : {0, 0, 0, 150, 150, 900}) {
-      sim.schedule_at(TimePoint{at}, [&box, &seq] {
-        Packet p;
-        p.seq = seq++;
-        box.accept(std::move(p));
-      });
-    }
-    sim.run_until_idle();
-    return trace;
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 // forward() may synchronously re-enter accept() on the same stage (tight

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/trace_gen.hpp"
 
 namespace mn {
@@ -302,67 +305,6 @@ TEST(DuplexPath, DirectionsDeriveIndependentLossStreams) {
   EXPECT_NE(up_ids, down_ids);
 }
 
-TEST(OneWayPipe, BatchReceiverSeesWholeTickSweepAsOneSpan) {
-  Simulator sim;
-  OneWayPipe pipe{sim, fast_spec()};
-  std::vector<std::vector<std::int64_t>> spans;
-  pipe.set_receiver_batch([&](std::span<Packet> ps) {
-    std::vector<std::int64_t> seqs;
-    for (const Packet& p : ps) seqs.push_back(p.seq);
-    spans.push_back(std::move(seqs));
-  });
-  std::vector<Packet> burst(3);
-  for (std::int64_t i = 0; i < 3; ++i) burst[static_cast<std::size_t>(i)].seq = i;
-  pipe.send_batch({burst.data(), burst.size()});
-  sim.run_until_idle();
-  // The rate link serializes, so deliveries may land on distinct ticks
-  // (width-1 spans); order across all spans is what the contract fixes.
-  ASSERT_FALSE(spans.empty());
-  std::vector<std::int64_t> all;
-  for (const auto& s : spans) all.insert(all.end(), s.begin(), s.end());
-  EXPECT_EQ(all, (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_TRUE(pipe.counters_consistent());
-}
-
-TEST(OneWayPipe, SendBatchMatchesScalarSendExactly) {
-  const auto run = [](bool batched) {
-    Simulator sim;
-    LinkSpec spec;
-    spec.rate_mbps = 12.0;
-    spec.one_way_delay = msec(3);
-    OneWayPipe pipe{sim, spec};
-    std::vector<std::pair<std::int64_t, std::int64_t>> trace;
-    pipe.set_receiver([&](Packet p) { trace.emplace_back(sim.now().usec(), p.seq); });
-    std::vector<Packet> burst(5);
-    for (std::int64_t i = 0; i < 5; ++i) {
-      burst[static_cast<std::size_t>(i)].seq = i;
-      burst[static_cast<std::size_t>(i)].payload = 1000;
-    }
-    if (batched) {
-      pipe.send_batch({burst.data(), burst.size()});
-    } else {
-      for (Packet& p : burst) pipe.send(std::move(p));
-    }
-    sim.run_until_idle();
-    return trace;
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-TEST(OneWayPipe, BlackholedBatchCountsEveryPacket) {
-  Simulator sim;
-  OneWayPipe pipe{sim, fast_spec()};
-  int delivered = 0;
-  pipe.set_receiver([&](Packet) { ++delivered; });
-  pipe.set_blackhole(true);
-  std::vector<Packet> burst(4);
-  pipe.send_batch({burst.data(), burst.size()});
-  sim.run_until_idle();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(pipe.blackholed_packets(), 4u);
-  EXPECT_TRUE(pipe.counters_consistent());
-}
-
 // Entry flattening: while middlebox and burst stages are disabled the
 // pipe entry bypasses them entirely, so their counters must stay zero;
 // fault toggles mid-run rewire the chain and the stages start (and
@@ -396,35 +338,29 @@ TEST(OneWayPipe, EntryBypassesDisabledStagesAndRewiresOnFaultToggles) {
   EXPECT_TRUE(pipe.counters_consistent());
 }
 
-TEST(NetworkInterface, TapForcesPerPacketDeliveryOverBatchReceiver) {
+// The tap records each received packet just before the endpoint reacts
+// to it, also when one trace-link opportunity delivers several packets
+// on the same tick.
+TEST(NetworkInterface, TapSeesEachReceivedPacketJustBeforeReceiver) {
   Simulator sim;
-  DuplexPath path{sim, fast_spec(), fast_spec()};
+  LinkSpec down;
+  down.trace = std::make_shared<DeliveryTrace>(std::vector<Duration>{msec(1)}, msec(2));
+  down.one_way_delay = msec(5);
+  DuplexPath path{sim, fast_spec(), down};
   NetworkInterface iface{"wifi", sim, path, false};
-  int scalar_calls = 0;
-  int batch_calls = 0;
-  int tap_events = 0;
-  iface.set_receiver([&](Packet) { ++scalar_calls; });
-  iface.set_receiver_batch([&](std::span<Packet>) { ++batch_calls; });
-  iface.set_tap([&](TimePoint, PacketDir, const Packet&) { ++tap_events; });
-  for (int i = 0; i < 3; ++i) path.send_down(data_packet(50));
+  std::vector<std::pair<char, std::int64_t>> log;  // ('t'ap | 'r'eceiver, seq)
+  iface.set_tap([&](TimePoint, PacketDir dir, const Packet& p) {
+    if (dir == PacketDir::kReceived) log.emplace_back('t', p.seq);
+  });
+  iface.set_receiver([&](const Packet& p) { log.emplace_back('r', p.seq); });
+  for (std::int64_t i = 0; i < 3; ++i) {
+    Packet p = data_packet(50);
+    p.seq = i;
+    path.send_down(p);
+  }
   sim.run_until_idle();
-  EXPECT_EQ(scalar_calls, 3);
-  EXPECT_EQ(batch_calls, 0) << "tapped interface must take the per-packet path";
-  EXPECT_EQ(tap_events, 3);
-}
-
-TEST(NetworkInterface, UntappedBatchReceiverTakesSweeps) {
-  Simulator sim;
-  DuplexPath path{sim, fast_spec(), fast_spec()};
-  NetworkInterface iface{"wifi", sim, path, false};
-  int scalar_calls = 0;
-  std::size_t batched_packets = 0;
-  iface.set_receiver([&](Packet) { ++scalar_calls; });
-  iface.set_receiver_batch([&](std::span<Packet> ps) { batched_packets += ps.size(); });
-  for (int i = 0; i < 3; ++i) path.send_down(data_packet(50));
-  sim.run_until_idle();
-  EXPECT_EQ(batched_packets, 3u);
-  EXPECT_EQ(scalar_calls, 0);
+  EXPECT_EQ(log, (std::vector<std::pair<char, std::int64_t>>{
+                     {'t', 0}, {'r', 0}, {'t', 1}, {'r', 1}, {'t', 2}, {'r', 2}}));
 }
 
 }  // namespace

@@ -30,26 +30,9 @@ TEST(PacketMux, UnroutableNonSynIsCounted) {
   PacketMux mux;
   mux.dispatch(mk_packet(9, 0));
   EXPECT_EQ(mux.unroutable_count(), 1u);
-}
-
-TEST(PacketMux, SynListenerCanAccept) {
-  PacketMux mux;
-  int delivered = 0;
-  mux.set_syn_listener([&](const Packet& p) {
-    mux.attach(p.connection_id, p.subflow_id, [&](Packet) { ++delivered; });
-  });
+  // An unmatched SYN is counted like any other packet.
   mux.dispatch(mk_packet(7, 0, /*syn=*/true));
-  EXPECT_EQ(delivered, 1);  // re-dispatched to the new endpoint
-  EXPECT_EQ(mux.unroutable_count(), 0u);
-  mux.dispatch(mk_packet(7, 0));
-  EXPECT_EQ(delivered, 2);
-}
-
-TEST(PacketMux, SynListenerDecliningCountsUnroutable) {
-  PacketMux mux;
-  mux.set_syn_listener([](const Packet&) { /* refuse */ });
-  mux.dispatch(mk_packet(7, 0, /*syn=*/true));
-  EXPECT_EQ(mux.unroutable_count(), 1u);
+  EXPECT_EQ(mux.unroutable_count(), 2u);
 }
 
 TEST(PacketMux, DetachStopsRouting) {

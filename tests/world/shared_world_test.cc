@@ -91,15 +91,8 @@ TEST(SharedWorld, DigestIdenticalUnderScalarDispatch) {
     ScopedScalarDispatch env;  // every Simulator in run_world sees it
     scalar_env = run_world(world, kUsers, small_opts()).stats.digest();
   }
-  std::string scalar_opt;
-  {
-    WorldOptions opt = small_opts();
-    opt.batch_dispatch = false;
-    scalar_opt = run_world(world, kUsers, opt).stats.digest();
-  }
   ASSERT_FALSE(batched.empty());
   EXPECT_EQ(batched, scalar_env);
-  EXPECT_EQ(batched, scalar_opt);
 }
 
 TEST(SharedWorld, SteadyStateStaysOffTheHeapFallbackPath) {
